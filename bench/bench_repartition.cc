@@ -2,22 +2,21 @@
  * @file
  * Repartition-under-load bench (paper Fig. 9 + the Figs. 11/16
  * SLO-attainment story run live). A Zipf query stream drifts mid-run
- * while the tiered engine keeps serving deadlined requests; three
+ * while the tiered engine keeps serving deadlined requests; two
  * configurations face the same streams:
  *
  *  - static    keeps the calibration-time hot set and batch cap;
- *  - adaptive  attaches the OnlineUpdater, so hit-rate drift triggers
- *              background multi-shard rebuilds + snapshot swaps;
  *  - autopilot runs the full closed loop (SloAutopilot): per-batch
  *              perf-model refits, live access profiling, partitioner
- *              re-picks of rho / shard count / batch cap, plus
- *              graceful nprobe degradation under backlog pressure.
+ *              re-picks of rho / shard count / batch cap (rebuilding
+ *              the hot tier through a snapshot swap), plus graceful
+ *              nprobe degradation under backlog pressure.
  *
  * Every request carries a queueing deadline, so the per-disposition
  * stats expose the SLO story directly: the autopilot should show an
  * expired+rejected rate no worse than the static baseline under
  * drift. Results land in BENCH_repartition.json (per-phase percentiles
- * and dispositions for all three configs) and BENCH_autopilot.json
+ * and dispositions for both configs) and BENCH_autopilot.json
  * (decision trace: chosen rho / shards / batch cap over time).
  *
  * Run: ./bench_repartition [num_queries] [--smoke]
@@ -33,7 +32,6 @@
 #include "common/stats.h"
 #include "core/engine_builder.h"
 #include "core/engine_runtime.h"
-#include "core/online_update.h"
 #include "core/slo_autopilot.h"
 #include "core/tiered_index.h"
 #include "workload/dataset.h"
@@ -175,8 +173,8 @@ main(int argc, char **argv)
     }
     const std::size_t n_phase = args.numQueries / 2;
     // Tight enough that a standing burst backlog expires its tail on
-    // the static config at this scale; the adaptive and autopilot
-    // configs must earn their keep against the same deadline.
+    // the static config at this scale; the autopilot must earn its
+    // keep against the same deadline.
     const double deadline_s = args.smoke ? 0.010 : 0.025;
 
     std::cout << "Repartition-under-load bench"
@@ -209,14 +207,12 @@ main(int argc, char **argv)
                  "mean hit", "hot probes", "expired", "degraded",
                  "rebuilds"});
 
-    const std::vector<std::string> modes = {"static", "adaptive",
-                                            "autopilot"};
+    const std::vector<std::string> modes = {"static", "autopilot"};
     std::vector<std::vector<PhaseResult>> all_phases(modes.size());
     core::EngineStatsSnapshot autopilot_stats;
 
     for (std::size_t m = 0; m < modes.size(); ++m) {
         const std::string &mode = modes[m];
-        const bool adaptive = mode == "adaptive";
         const bool autopilot = mode == "autopilot";
 
         // Identical streams per config: same calibration + drift seeds.
@@ -231,7 +227,6 @@ main(int argc, char **argv)
             wl::PlanSet::build(*cq, cal, n_cal, spec.nprobe, work);
         const auto profile =
             core::AccessProfile::fromPlans(plans, dataset);
-        const core::HitRateEstimator estimator(profile, plans);
 
         core::TieredOptions topts;
         topts.numShards = num_shards;
@@ -239,33 +234,11 @@ main(int argc, char **argv)
         topts.maxShards = autopilot ? 4 : num_shards;
         core::TieredIndex tiered(index, profile, rho, topts);
 
-        core::OnlineUpdater::Options uopts;
-        uopts.rho = rho;
-        // At this reduced scale a popularity reshuffle moves the mean
-        // hit rate by a few points, not the paper's tens: trigger on a
-        // 3-point divergence from the estimator's per-query-mean
-        // prediction (the same semantics the engine records).
-        uopts.drift.hitRateDivergence = 0.03;
-        // The engine records one observation per *batch*; keep the
-        // window small enough to fill (and re-trigger) within a phase.
-        uopts.drift.windowRequests = args.smoke ? 16 : 32;
-        // Gate the rebuild on hit-rate divergence alone: at this
-        // reduced scale searches always meet the paper-scale SLO, so
-        // an attainment threshold above 1 keeps the second drift
-        // condition permanently satisfied.
-        uopts.drift.attainmentThreshold = 1.01;
-        std::unique_ptr<core::OnlineUpdater> updater;
-        if (adaptive || autopilot)
-            updater = std::make_unique<core::OnlineUpdater>(
-                tiered, uopts, estimator.meanHitRate(rho));
-
         core::EngineBuilder builder(tiered);
         builder.defaultK(10)
             .defaultNprobe(spec.nprobe)
             .searchThreads(4)
             .batching({.maxBatch = 32, .timeoutSeconds = 1e-3});
-        if (adaptive)
-            builder.updater(updater.get());
         if (autopilot) {
             core::DegradationPolicy degrade;
             degrade.enable = true;
@@ -284,17 +257,13 @@ main(int argc, char **argv)
             // the floor keeps a live hot tier so drift shows up as a
             // hot-set flip (and a repartition) rather than a no-op.
             pilot.minRho = 0.2;
-            builder.degradation(degrade)
-                .autopilot(pilot)
-                .updater(updater.get());
+            builder.degradation(degrade).autopilot(pilot);
         }
         const auto engine = builder.build();
 
         auto run_cycle = [&] {
-            if (!autopilot)
-                return;
-            engine->autopilot()->runControlCycle();
-            updater->waitForRebuild();
+            if (autopilot)
+                engine->autopilot()->runControlCycle();
         };
 
         std::vector<PhaseResult> phases;
@@ -311,20 +280,17 @@ main(int argc, char **argv)
         phases.push_back(servePhase("post-drift", *engine, tiered,
                                     post_queries, n_phase, spec.dim,
                                     deadline_s));
-        if (updater)
-            updater->waitForRebuild();
         run_cycle();
 
-        // Same drifted stream once more: adaptive and autopilot now
-        // serve it from the rebuilt placement.
+        // Same drifted stream once more: the autopilot now serves it
+        // from the rebuilt placement.
         const auto rec_queries = gen.generate(n_phase);
         phases.push_back(servePhase("recovered", *engine, tiered,
                                     rec_queries, n_phase, spec.dim,
                                     deadline_s));
-        if (updater)
-            updater->waitForRebuild();
         run_cycle();
 
+        const std::size_t rebuilds = tiered.stats().repartitions;
         for (const PhaseResult &p : phases)
             t.addRow({mode, p.name,
                       TextTable::num(p.search.p50 * 1e3, 2),
@@ -333,9 +299,7 @@ main(int argc, char **argv)
                       TextTable::pct(p.hotProbeFraction),
                       std::to_string(p.expired),
                       std::to_string(p.degraded),
-                      updater ? std::to_string(
-                                    updater->rebuildsCompleted())
-                              : "-"});
+                      std::to_string(rebuilds)});
 
         if (autopilot)
             autopilot_stats = engine->stats();
@@ -344,11 +308,9 @@ main(int argc, char **argv)
     t.print(std::cout);
 
     const double static_miss = configMissRate(all_phases[0]);
-    const double adaptive_miss = configMissRate(all_phases[1]);
-    const double autopilot_miss = configMissRate(all_phases[2]);
+    const double autopilot_miss = configMissRate(all_phases[1]);
     std::cout << "\nexpired+rejected rate: static "
-              << TextTable::pct(static_miss) << ", adaptive "
-              << TextTable::pct(adaptive_miss) << ", autopilot "
+              << TextTable::pct(static_miss) << ", autopilot "
               << TextTable::pct(autopilot_miss) << " -> autopilot "
               << (autopilot_miss <= static_miss ? "PASS (<= static)"
                                                 : "FAIL (> static)")
@@ -389,7 +351,6 @@ main(int argc, char **argv)
         w.key("missRates");
         w.beginObject();
         w.kv("static", static_miss);
-        w.kv("adaptive", adaptive_miss);
         w.kv("autopilot", autopilot_miss);
         w.endObject();
         w.kv("autopilotNoWorseThanStatic",
@@ -422,14 +383,14 @@ main(int argc, char **argv)
 
     std::cout
         << "\n'hot probes' is the fraction of probes served by the hot "
-           "shards in each\nphase. After drift the static config keeps "
-           "the stale placement and its\nbacklogged tail expires; the "
-           "adaptive config's OnlineUpdater rebuilds in\nthe background "
-           "on hit-rate divergence; the autopilot additionally refits\n"
-           "the perf model from live batches, re-picks rho / shards / "
-           "batch cap with\nthe partitioner and degrades nprobe under "
-           "pressure instead of letting\nrequests expire. In-flight "
-           "batches keep searching the old snapshot until\nthe atomic "
-           "swap (paper Fig. 9's background-update claim).\n";
+           "shards in each\nphase; 'rebuilds' counts the config's "
+           "completed repartitions. After drift\nthe static config "
+           "keeps the stale placement and its backlogged tail\nexpires; "
+           "the autopilot refits the perf model from live batches, "
+           "re-picks\nrho / shards / batch cap with the partitioner, "
+           "rebuilds the hot tier and\ndegrades nprobe under pressure "
+           "instead of letting requests expire.\nIn-flight batches keep "
+           "searching the old snapshot until the atomic swap\n(paper "
+           "Fig. 9's background-update claim).\n";
     return autopilot_miss <= static_miss ? 0 : 1;
 }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/online_update.h"
 #include "core/slo_autopilot.h"
 #include "storage/index_store.h"
 
@@ -16,7 +15,7 @@ EngineBuilder::EngineBuilder(const vs::IvfPqFastScanIndex &index)
 {
 }
 
-EngineBuilder::EngineBuilder(const TieredIndex &tiered)
+EngineBuilder::EngineBuilder(TieredIndex &tiered)
     : index_(tiered.source()), tiered_(&tiered)
 {
 }
@@ -157,13 +156,6 @@ EngineBuilder::coldTier(const HotShardBackend *backend)
     return *this;
 }
 
-EngineBuilder &
-EngineBuilder::updater(OnlineUpdater *updater)
-{
-    updater_ = updater;
-    return *this;
-}
-
 std::unique_ptr<RetrievalEngine>
 EngineBuilder::build()
 {
@@ -188,27 +180,13 @@ EngineBuilder::build()
         throw std::invalid_argument(
             "EngineBuilder: cold backend cluster count does not match "
             "the served index");
-    if (updater_ != nullptr && tiered_ == nullptr)
-        throw std::invalid_argument(
-            "EngineBuilder: updater() requires a caller-owned "
-            "TieredIndex (attach to engine->tiered() after build() "
-            "for profile-built tiers)");
-    if (updater_ != nullptr && &updater_->index() != tiered_)
-        throw std::invalid_argument(
-            "EngineBuilder: updater monitors a different TieredIndex "
-            "than the one being served");
     if (config_.autopilot.enable && tiered_ == nullptr && !fromProfile_)
         throw std::invalid_argument(
             "EngineBuilder: autopilot requires tiered serving "
             "(tieredFromProfile or a caller-owned TieredIndex)");
-    if (config_.autopilot.enable && tiered_ != nullptr &&
-        updater_ == nullptr)
-        throw std::invalid_argument(
-            "EngineBuilder: autopilot over a caller-owned TieredIndex "
-            "needs updater() — it is the actuation path");
 
     std::unique_ptr<TieredIndex> owned;
-    const TieredIndex *tiered = tiered_;
+    TieredIndex *tiered = tiered_;
     if (fromProfile_) {
         TieredOptions topts{config_.numHotShards,
                             config_.shardBackendFactory};
@@ -227,25 +205,9 @@ EngineBuilder::build()
     // fromArtifact path: the engine adopts the restored index so it
     // outlives every component referencing it.
     engine->ownedIndex_ = std::move(ownedIndex_);
-    OnlineUpdater *updater = updater_;
-    if (config_.autopilot.enable && fromProfile_) {
-        // Engine-owned control plane: the updater exists purely as the
-        // autopilot's snapshot-swap actuation path. Its drift monitor
-        // is never fed (the engine skips record() while an autopilot
-        // is attached), so the work-mass expectation is only a
-        // placeholder baseline.
-        OnlineUpdater::Options uopts;
-        uopts.rho = rho_;
-        engine->ownedUpdater_ = std::make_unique<OnlineUpdater>(
-            *engine->ownedTiered_, uopts,
-            profile_->meanWorkHitRate(rho_));
-        updater = engine->ownedUpdater_.get();
-    }
-    if (updater != nullptr)
-        engine->attachUpdater(updater);
     if (config_.autopilot.enable)
         engine->ownedAutopilot_ = std::make_unique<SloAutopilot>(
-            *engine, *updater, config_.autopilot);
+            *engine, *tiered, config_.autopilot);
     return engine;
 }
 

@@ -6,7 +6,7 @@
  * One chain composes the index source (flat, caller-owned TieredIndex,
  * or an engine-owned TieredIndex built from an AccessProfile at a
  * coverage rho), the hot-tier shape (shard count + backend factory),
- * dispatcher policy, per-engine defaults and updater attachment:
+ * dispatcher policy, per-engine defaults and the control policies:
  *
  * @code
  * auto engine = core::EngineBuilder(index)
@@ -38,12 +38,10 @@
 namespace vlr::core
 {
 
-class OnlineUpdater;
-
 /**
  * Builder for RetrievalEngine. Referenced objects (index, tiered
- * index, profile, updater) must outlive the built engine; the builder
- * itself may be discarded after build().
+ * index, profile) must outlive the built engine; the builder itself
+ * may be discarded after build().
  */
 class EngineBuilder
 {
@@ -53,9 +51,10 @@ class EngineBuilder
 
     /**
      * Serve a caller-owned tiered index (its source() provides the
-     * flat-path index and dim()).
+     * flat-path index and dim()). Non-const because an autopilot()
+     * repartitions the served tier.
      */
-    explicit EngineBuilder(const TieredIndex &tiered);
+    explicit EngineBuilder(TieredIndex &tiered);
 
     /**
      * Cold-start path: restore a complete index from a
@@ -94,7 +93,8 @@ class EngineBuilder
     /** Pin search workers round-robin to cores (Linux; best effort). */
     EngineBuilder &pinSearchThreads(bool pin);
 
-    /** Retrieval-stage SLO fed to the drift monitor. */
+    /** Retrieval-stage SLO: the search budget the autopilot's
+     *  partitioner plans against. */
     EngineBuilder &sloSearchSeconds(double seconds);
 
     /** Overload nprobe degradation policy (off by default). */
@@ -130,12 +130,10 @@ class EngineBuilder
     EngineBuilder &tenantClass(TenantClass cls);
 
     /**
-     * Closed-loop SLO autopilot policy. Requires tiered serving: on
-     * the tieredFromProfile path the builder creates an engine-owned
-     * OnlineUpdater and SloAutopilot and sequences their teardown; on
-     * the caller-owned tiered path an updater() must be attached — it
-     * is the autopilot's actuation path — and the engine owns only
-     * the autopilot.
+     * Closed-loop SLO autopilot policy. Requires tiered serving
+     * (tieredFromProfile or a caller-owned TieredIndex). The engine
+     * owns the SloAutopilot, which repartitions the served tier
+     * itself, and stops it before the tier is torn down.
      */
     EngineBuilder &autopilot(AutopilotPolicy policy);
 
@@ -172,20 +170,11 @@ class EngineBuilder
     EngineBuilder &coldTier(const HotShardBackend *backend);
 
     /**
-     * Attach a drift-monitoring updater. Only valid when the builder
-     * was constructed from a caller-owned TieredIndex; the updater
-     * must monitor that same index. For tieredFromProfile engines,
-     * construct the updater against engine->tiered() after build()
-     * and call RetrievalEngine::attachUpdater.
-     */
-    EngineBuilder &updater(OnlineUpdater *updater);
-
-    /**
      * Validate and construct. @throws std::invalid_argument on an
      * invalid EngineConfig or an inconsistent composition (e.g.
      * tieredFromProfile on a tiered-constructed builder, rho outside
-     * [0, 1], shard options without a profile-built tier, an updater
-     * monitoring a different index).
+     * [0, 1], shard options without a profile-built tier, an
+     * autopilot without tiered serving).
      */
     std::unique_ptr<RetrievalEngine> build();
 
@@ -201,13 +190,12 @@ class EngineBuilder
      */
     std::shared_ptr<const vs::IvfPqFastScanIndex> ownedIndex_;
     const vs::IvfPqFastScanIndex &index_;
-    const TieredIndex *tiered_ = nullptr;
+    TieredIndex *tiered_ = nullptr;
     const AccessProfile *profile_ = nullptr;
     double rho_ = 0.0;
     bool fromProfile_ = false;
     bool shardOptionsSet_ = false;
     const HotShardBackend *coldBackend_ = nullptr;
-    OnlineUpdater *updater_ = nullptr;
     EngineConfig config_;
 };
 

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "core/online_update.h"
 #include "core/slo_autopilot.h"
 
 namespace vlr::core
@@ -693,19 +692,13 @@ RetrievalEngine::executeBatch(std::vector<Pending> batch,
     if (tiered_)
         results = tiered_->searchBatchParallel(
             queries, nq, k, nprobes, pool_,
-            (updater_ || autopilot_) ? &tstats : nullptr);
+            autopilot_ ? &tstats : nullptr);
     else
         results = index_.searchBatchParallel(queries, nq, k, nprobes,
                                              pool_);
     const auto t1 = Clock::now();
     const double search_s = secondsBetween(t0, t1);
 
-    // With an autopilot attached it is the sole repartition driver;
-    // feeding the drift monitor too would make the two fight over the
-    // snapshot-swap path.
-    if (tiered_ && updater_ && !autopilot_)
-        updater_->record(tstats.meanHitRate,
-                         search_s <= config_.sloSearchSeconds);
     if (tiered_ && autopilot_)
         autopilot_->observeBatch(
             BatchObservation{nq, tstats.routeSeconds,

@@ -38,10 +38,10 @@
  * directly against the analytic perf-model predictions.
  *
  * The engine serves either a flat single-tier index or a TieredIndex
- * (hot/cold partition-aware path). In tiered mode each batch's routed
- * hit rates are recorded and, when an OnlineUpdater is attached, fed
- * to the drift monitor together with whether the batch met the search
- * SLO — closing the paper's online-update loop on the live path.
+ * (hot/cold partition-aware path). In tiered mode, when an SloAutopilot
+ * is attached, each batch's route/scan wall times, routed hit rate and
+ * queries are handed to it — the signal of the paper's online-update
+ * loop, which the autopilot closes by repartitioning the tier.
  *
  * Engines are constructed through EngineBuilder (engine_builder.h),
  * which validates the EngineConfig and composes flat, caller-owned
@@ -133,7 +133,6 @@ struct EngineStatsSnapshot
     std::vector<TenantStatsSnapshot> tenants;
 };
 
-class OnlineUpdater;
 class EngineBuilder;
 class SloAutopilot;
 
@@ -153,18 +152,8 @@ class RetrievalEngine
     RetrievalEngine &operator=(const RetrievalEngine &) = delete;
 
     /**
-     * Attach a drift-monitoring updater fed after every tiered batch.
-     * Call before submitting queries; the updater must outlive the
-     * engine. No-op wiring for flat-index engines.
-     */
-    void attachUpdater(OnlineUpdater *updater) { updater_ = updater; }
-
-    /**
      * Attach the closed-loop SLO autopilot, fed after every tiered
-     * batch. While attached the engine stops feeding the drift
-     * monitor directly — the autopilot becomes the sole repartition
-     * driver, so drift-triggered and autopilot-driven rebuilds cannot
-     * fight. Call before submitting queries; the autopilot must
+     * batch. Call before submitting queries; the autopilot must
      * outlive the engine unless it is engine-owned (EngineBuilder
      * autopilot path).
      */
@@ -401,7 +390,6 @@ class RetrievalEngine
     std::unique_ptr<TieredIndex> ownedTiered_;
     /** Tiered-mode index; nullptr when serving the flat path. */
     const TieredIndex *tiered_ = nullptr;
-    OnlineUpdater *updater_ = nullptr;
     SloAutopilot *autopilot_ = nullptr;
     EngineConfig config_;
     /** Validated registry over config_.tenants (immutable). */
@@ -465,13 +453,12 @@ class RetrievalEngine
     std::thread dispatcher_;
 
     /**
-     * Engine-owned control plane for the EngineBuilder autopilot path
+     * Engine-owned autopilot for the EngineBuilder autopilot path
      * (declared last so it is destroyed first — before ownedTiered_,
-     * which the updater's rebuild worker touches; the destructor also
-     * stops the autopilot explicitly right after the dispatcher is
-     * joined, since the dispatcher feeds it).
+     * which its control thread repartitions; the destructor also stops
+     * it explicitly right after the dispatcher is joined, since the
+     * dispatcher feeds it).
      */
-    std::unique_ptr<OnlineUpdater> ownedUpdater_;
     std::unique_ptr<SloAutopilot> ownedAutopilot_;
 };
 

@@ -1,9 +1,7 @@
 #include "core/online_update.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "common/log.h"
 #include "common/timer.h"
 
 namespace vlr::core
@@ -90,179 +88,6 @@ estimateUpdateTimings(const DatasetContext &ctx, double rho, int num_shards,
     (void)num_shards;
     t.loadingSeconds = hot_bytes / pcie_bw;
     return t;
-}
-
-namespace
-{
-
-/** Run a rebuild hook, containing any exception to a warning. */
-void
-runHook(const std::function<void()> &hook)
-{
-    if (!hook)
-        return;
-    try {
-        hook();
-    } catch (const std::exception &e) {
-        logWarn("OnlineUpdater: repartition hook failed: ", e.what());
-    }
-}
-
-} // namespace
-
-OnlineUpdater::OnlineUpdater(TieredIndex &index, Options opts,
-                             double expected_hit_rate)
-    : index_(index), opts_(opts),
-      monitor_(opts.drift, expected_hit_rate),
-      expectedHitRate_(expected_hit_rate)
-{
-}
-
-void
-OnlineUpdater::setRepartitionHook(std::function<void()> hook)
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    repartitionHook_ = std::move(hook);
-}
-
-OnlineUpdater::~OnlineUpdater()
-{
-    waitForRebuild();
-}
-
-std::size_t
-OnlineUpdater::calibrationTargetLocked() const
-{
-    return std::max<std::size_t>(1, opts_.drift.windowRequests / 4);
-}
-
-bool
-OnlineUpdater::record(double hit_rate, bool slo_met)
-{
-    std::unique_lock<std::mutex> lk(mutex_);
-    if (calibrating_) {
-        // Post-swap re-baselining: average the first observations of
-        // the new placement into a *per-query-mean* expectation (the
-        // same quantity record() observes) instead of adopting the
-        // work-mass aggregate AccessProfile::meanWorkHitRate, whose
-        // systematic offset re-triggered rebuilds right after a swap.
-        calibSum_ += hit_rate;
-        ++calibCount_;
-        if (calibCount_ >= calibrationTargetLocked()) {
-            expectedHitRate_ =
-                calibSum_ / static_cast<double>(calibCount_);
-            calibrating_ = false;
-            monitor_.reset(expectedHitRate_);
-        }
-        return false;
-    }
-    monitor_.record(hit_rate, slo_met);
-    if (!monitor_.driftDetected()) {
-        if (monitor_.windowFull())
-            monitor_.reset(expectedHitRate_);
-        return false;
-    }
-    if (inFlight_)
-        return false;
-
-    // Promote/demote: re-rank clusters by the live access counts and
-    // rebuild the hot tier at the configured coverage. The expensive
-    // replica build + swap runs on a background thread; record() only
-    // pays for count draining and the profile sort.
-    if (worker_.joinable())
-        worker_.join();
-    const AccessProfile profile =
-        index_.profileFromCounts(index_.drainAccessCounts());
-    auto hot = profile.hotClusters(opts_.rho);
-    inFlight_ = true;
-    worker_ = std::thread([this, hot = std::move(hot),
-                           hook = repartitionHook_]() mutable {
-        runHook(hook);
-        index_.repartition(std::move(hot));
-        std::lock_guard<std::mutex> wlk(mutex_);
-        inFlight_ = false;
-        ++completed_;
-        // Observations recorded while the rebuild was in flight judged
-        // the *old* snapshot; entering calibration only now (not at
-        // launch) keeps them out of the new baseline.
-        calibrating_ = true;
-        calibSum_ = 0.0;
-        calibCount_ = 0;
-        monitor_.reset(expectedHitRate_);
-    });
-    return true;
-}
-
-bool
-OnlineUpdater::requestRepartition(std::vector<cluster_id_t> hot_clusters,
-                                  std::size_t num_shards)
-{
-    std::unique_lock<std::mutex> lk(mutex_);
-    if (inFlight_)
-        return false;
-    if (worker_.joinable())
-        worker_.join();
-    // Keep the configured coverage in step with the caller's pick so a
-    // later drift-triggered rebuild would not snap back to a stale rho.
-    const std::size_t nlist = index_.nlist();
-    if (nlist > 0)
-        opts_.rho = static_cast<double>(hot_clusters.size()) /
-                    static_cast<double>(nlist);
-    inFlight_ = true;
-    worker_ = std::thread(
-        [this, hot = std::move(hot_clusters), num_shards,
-         hook = repartitionHook_]() mutable {
-            runHook(hook);
-            index_.repartition(std::move(hot), num_shards);
-            std::lock_guard<std::mutex> wlk(mutex_);
-            inFlight_ = false;
-            ++completed_;
-            calibrating_ = true;
-            calibSum_ = 0.0;
-            calibCount_ = 0;
-            monitor_.reset(expectedHitRate_);
-        });
-    return true;
-}
-
-bool
-OnlineUpdater::calibrating() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return calibrating_;
-}
-
-bool
-OnlineUpdater::rebuildInFlight() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return inFlight_;
-}
-
-std::size_t
-OnlineUpdater::rebuildsCompleted() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return completed_;
-}
-
-void
-OnlineUpdater::waitForRebuild()
-{
-    std::thread t;
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        t.swap(worker_);
-    }
-    if (t.joinable())
-        t.join();
-}
-
-double
-OnlineUpdater::expectedHitRate() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return expectedHitRate_;
 }
 
 UpdateOutcome

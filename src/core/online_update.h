@@ -10,19 +10,18 @@
  * dominates, splitting is a memory-bandwidth copy, loading is a PCIe
  * transfer, and shards refresh one at a time with queries for a
  * refreshing shard temporarily routed to the CPU.
+ *
+ * This is the simulator-side model of the update loop. The live engine
+ * runs the same loop through SloAutopilot (slo_autopilot.h), which
+ * repartitions a served TieredIndex directly.
  */
 
 #ifndef VLR_CORE_ONLINE_UPDATE_H
 #define VLR_CORE_ONLINE_UPDATE_H
 
-#include <functional>
-#include <mutex>
-#include <thread>
-
 #include "core/context.h"
 #include "core/partitioner.h"
 #include "core/splitter.h"
-#include "core/tiered_index.h"
 
 namespace vlr::core
 {
@@ -110,133 +109,6 @@ struct UpdateOutcome
 
 UpdateOutcome runUpdateCycle(DatasetContext &ctx, wl::QueryGenerator &gen,
                              const PartitionInputs &inputs, int num_shards);
-
-/**
- * Live-path online updater: the executable-engine counterpart of
- * runUpdateCycle (paper Section IV-B3 against a real TieredIndex).
- *
- * The serving loop feeds record() with each request's (or batch's)
- * observed work-weighted hit rate and whether its search met the SLO.
- * When the drift monitor fires, the updater drains the tiered index's
- * live per-cluster access counts, re-ranks clusters by observed
- * popularity (promote/demote) and rebuilds every hot shard on a
- * background thread, swapping one snapshot when all backends are ready
- * — record() never blocks on the rebuild, and in-flight batches keep
- * searching the old snapshot until the atomic swap.
- *
- * Expectation semantics: the monitor's expected hit rate is a
- * *per-query mean* — the same quantity record() observes. After a
- * swap the updater does not reset it from
- * AccessProfile::meanWorkHitRate (a work-mass aggregate that sits
- * systematically above the per-query mean under skew, which
- * re-triggered rebuilds against placements that matched traffic
- * perfectly — churn visible in bench_repartition). Instead it
- * re-baselines: the first windowRequests/4 observations after the
- * swap are averaged into the new expectation while drift detection is
- * suspended, so only movement *relative to the rebuilt placement*
- * counts as drift.
- */
-class OnlineUpdater
-{
-  public:
-    struct Options
-    {
-        DriftMonitorParams drift;
-        /** Coverage target for rebuilt hot sets. */
-        double rho = 0.25;
-    };
-
-    /**
-     * @param index tiered index to monitor and rebuild (must outlive
-     *        the updater).
-     * @param opts drift thresholds + rebuild coverage.
-     * @param expected_hit_rate the planning-time *per-query mean* hit
-     *        rate the monitor compares live observations against
-     *        (e.g. HitRateEstimator::meanHitRate, not the work-mass
-     *        aggregate AccessProfile::meanWorkHitRate).
-     */
-    OnlineUpdater(TieredIndex &index, Options opts,
-                  double expected_hit_rate);
-    ~OnlineUpdater();
-
-    OnlineUpdater(const OnlineUpdater &) = delete;
-    OnlineUpdater &operator=(const OnlineUpdater &) = delete;
-
-    /**
-     * Record one served request or batch. Thread-safe. Returns true
-     * when this call launched a background repartition.
-     */
-    bool record(double hit_rate, bool slo_met);
-
-    /**
-     * Launch a background rebuild around an explicit hot set — the
-     * SloAutopilot's actuation path. Same machinery as a drift-
-     * triggered rebuild (replica build off-thread, one snapshot swap,
-     * post-swap re-baselining) but the caller, not the drift monitor,
-     * decides when and what. @p num_shards of 0 keeps the index's
-     * current shard count. Returns false without acting when a
-     * rebuild is already in flight.
-     */
-    bool requestRepartition(std::vector<cluster_id_t> hot_clusters,
-                            std::size_t num_shards = 0);
-
-    bool rebuildInFlight() const;
-    std::size_t rebuildsCompleted() const;
-
-    /**
-     * Install a callback run on the background rebuild thread at the
-     * start of every rebuild — drift-triggered and requested alike —
-     * before the hot tier is re-replicated. The storage layer hangs
-     * its delta merge here (storage::MmapColdTier::mergeDeltas), so
-     * streamed vectors fold into the mapped artifact as part of the
-     * same maintenance cycle that re-partitions the hot set. A hook
-     * that throws is caught and logged; the rebuild proceeds (the
-     * merge retries on the next cycle). Pass nullptr to clear.
-     * Thread-safe; takes effect from the next rebuild launch.
-     */
-    void setRepartitionHook(std::function<void()> hook);
-
-    /** Block until any in-flight rebuild has swapped in. */
-    void waitForRebuild();
-
-    /**
-     * Current per-query-mean expectation: the constructor value until
-     * the first rebuild, then the post-swap re-baselined observation
-     * mean (updated once calibration completes).
-     */
-    double expectedHitRate() const;
-
-    /**
-     * True between a snapshot swap and the completion of the
-     * post-swap re-baselining window (drift detection suspended).
-     */
-    bool calibrating() const;
-
-    /** Tiered index this updater monitors (builder validation). */
-    const TieredIndex &index() const { return index_; }
-    /** Mutable view for control-plane callers (SloAutopilot). */
-    TieredIndex &index() { return index_; }
-
-  private:
-    /** Observations averaged into a post-swap baseline. */
-    std::size_t calibrationTargetLocked() const;
-
-    TieredIndex &index_;
-    Options opts_;
-
-    mutable std::mutex mutex_;
-    DriftMonitor monitor_;
-    double expectedHitRate_;
-    /** Post-swap re-baselining state (see class comment). */
-    bool calibrating_ = false;
-    double calibSum_ = 0.0;
-    std::size_t calibCount_ = 0;
-    std::thread worker_;
-    bool inFlight_ = false;
-    std::size_t completed_ = 0;
-    /** Copied into each worker at launch (see setRepartitionHook). */
-    std::function<void()> repartitionHook_;
-};
 
 } // namespace vlr::core
 

@@ -369,8 +369,9 @@ struct TenantStatsSnapshot
  * SloAutopilot periodically fits a SearchPerfModel from observed
  * per-batch latencies, rebuilds the access profile from live probe
  * counts, re-runs the LatencyBoundedPartitioner against the measured
- * arrival rate, and actuates rho / hot-shard count / batch cap through
- * the OnlineUpdater snapshot-swap path. The per-disposition stats
+ * arrival rate, and actuates the batch cap, then rho and hot-shard
+ * count by repartitioning the served TieredIndex (one snapshot swap,
+ * rebuilt on the control thread). The per-disposition stats
  * (expired + rejected rates) are the SLO-attainment feedback: misses
  * above `missRateTarget` escalate coverage beyond the model's pick.
  */
@@ -515,8 +516,9 @@ struct EngineConfig
      *  epoch slots stay core-resident. */
     bool pinSearchThreads = false;
     /**
-     * Retrieval-stage SLO (Table I); tiered batches whose search stage
-     * exceeds it are reported to the drift monitor as SLO misses.
+     * Retrieval-stage SLO (Table I): the search-latency budget
+     * (PartitionInputs::sloSearchSeconds) the SloAutopilot's
+     * partitioner plans coverage against.
      */
     double sloSearchSeconds = 0.150;
     /**

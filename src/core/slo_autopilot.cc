@@ -22,11 +22,10 @@ secondsBetween(std::chrono::steady_clock::time_point a,
 
 } // namespace
 
-SloAutopilot::SloAutopilot(RetrievalEngine &engine,
-                           OnlineUpdater &updater,
+SloAutopilot::SloAutopilot(RetrievalEngine &engine, TieredIndex &index,
                            AutopilotPolicy policy)
-    : engine_(engine), updater_(updater), index_(updater.index()),
-      policy_(policy), lastCycle_(Clock::now())
+    : engine_(engine), index_(index), policy_(policy),
+      lastCycle_(Clock::now())
 {
     const std::size_t rows =
         std::max<std::size_t>(policy_.queryReservoir, 16);
@@ -276,7 +275,9 @@ SloAutopilot::runControlCycle()
 
     // 5c. Repartition when coverage moved past the deadband, the
     // shard count changed, or the hot set itself flipped (hotspot
-    // drift can move membership while rho stays put).
+    // drift can move membership while rho stays put). The rebuild runs
+    // here, on the cycle's thread; searches keep the old snapshot
+    // until the swap, and the dispatcher never waits on cycleMutex_.
     std::vector<cluster_id_t> hot = profile.hotClusters(rho);
     const std::vector<bool> bitmap = index_.hotBitmap();
     std::size_t in_current = 0;
@@ -293,10 +294,9 @@ SloAutopilot::runControlCycle()
     const bool set_flipped =
         overlap < 1.0 - policy_.hotSetDivergence;
 
-    bool repartitioned = false;
-    if (rho_moved || shards_moved || set_flipped)
-        repartitioned =
-            updater_.requestRepartition(std::move(hot), shards);
+    const bool repartitioned = rho_moved || shards_moved || set_flipped;
+    if (repartitioned)
+        index_.repartition(std::move(hot), shards);
 
     // 5d. Adaptive admission shares: move each tenant's live share
     // toward its measured demand fraction (EWMA-smoothed so one noisy

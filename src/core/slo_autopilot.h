@@ -16,9 +16,15 @@
  *      arrival rate, and
  *   5. actuates: dispatcher batch cap via
  *      RetrievalEngine::setBatchCap, coverage rho and hot-shard count
- *      via OnlineUpdater::requestRepartition — the same background
- *      rebuild + snapshot swap a drift-triggered update uses, so no
- *      in-flight batch ever stalls.
+ *      via TieredIndex::repartition. The rebuild runs on the control
+ *      thread (the caller's thread for manual cycles) and publishes
+ *      with one snapshot swap; the dispatcher only ever enters
+ *      observeBatch(), so no in-flight batch stalls on it.
+ *
+ * The autopilot is the only component that repartitions a served
+ * TieredIndex: the paper's runtime update loop (Section IV-B3, Fig. 9)
+ * is this cycle, with the hot-set overlap check standing in for its
+ * hit-rate drift trigger.
  *
  * The per-disposition stats are the SLO-attainment feedback (the
  * paper's attainment signal): when the windowed expired+rejected
@@ -65,7 +71,6 @@
 
 #include "common/rng.h"
 #include "core/engine_runtime.h"
-#include "core/online_update.h"
 #include "core/serving_api.h"
 #include "core/tiered_index.h"
 
@@ -86,9 +91,9 @@ struct BatchObservation
 };
 
 /**
- * The control loop. Construct with the engine it steers and the
- * updater whose snapshot-swap path it actuates through (both must
- * outlive the autopilot); construction attaches it to the engine.
+ * The control loop. Construct with the engine it steers and the tiered
+ * index that engine serves, which the autopilot repartitions (both
+ * must outlive the autopilot); construction attaches it to the engine.
  * With policy.controlIntervalSeconds > 0 a background thread runs
  * cycles periodically; at 0 the loop is manual — tests and benches
  * call runControlCycle() themselves for determinism. Destroy (or
@@ -98,7 +103,7 @@ struct BatchObservation
 class SloAutopilot
 {
   public:
-    SloAutopilot(RetrievalEngine &engine, OnlineUpdater &updater,
+    SloAutopilot(RetrievalEngine &engine, TieredIndex &index,
                  AutopilotPolicy policy);
     ~SloAutopilot();
 
@@ -117,8 +122,9 @@ class SloAutopilot
     /**
      * Run one synchronous control cycle: fit, re-partition, actuate.
      * Serialized against the background thread; safe to call
-     * concurrently. Returns true when the cycle launched a
-     * repartition (cap-only actuation returns false).
+     * concurrently. Returns true when the cycle repartitioned the hot
+     * tier — the new placement is live by the time it returns
+     * (cap-only actuation returns false).
      */
     bool runControlCycle();
 
@@ -134,7 +140,6 @@ class SloAutopilot
     void controlLoop();
 
     RetrievalEngine &engine_;
-    OnlineUpdater &updater_;
     TieredIndex &index_;
     AutopilotPolicy policy_;
 

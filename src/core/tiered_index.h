@@ -26,8 +26,9 @@
  * probe/scan counters, scan wall-time accumulators, per-query routing
  * tallies) lands in a per-thread stat shard — an uncontended cache
  * line owned by the recording thread. drainAccessCounts()/stats()
- * merge the shards on demand, preserving the exact totals the
- * OnlineUpdater and SloAutopilot drained before the sharding.
+ * merge the shards on demand with exact totals. SloAutopilot is the
+ * engine's one caller of drainAccessCounts() and repartition(), its
+ * control cycle's profiling input and actuator.
  * repartition() rebuilds every shard off the read path, publishes the
  * new generation with one atomic pointer swap, and retires the old one
  * to the epoch domain, which frees it only after every reader has

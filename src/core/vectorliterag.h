@@ -23,7 +23,6 @@
 #include "vecsearch/eval.h"
 #include "vecsearch/fastscan.h"
 #include "vecsearch/flat_index.h"
-#include "vecsearch/hnsw.h"
 #include "vecsearch/ivf.h"
 #include "vecsearch/ivf_pq.h"
 #include "vecsearch/io.h"

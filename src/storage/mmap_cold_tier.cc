@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "vecsearch/fastscan.h"
+#include "vecsearch/ivf_pq_fastscan.h"
 #include "vecsearch/topk.h"
 
 namespace vlr::storage
@@ -45,29 +46,6 @@ segmentPayloadBytes(std::uint64_t count, std::size_t m)
         (count + vs::kFastScanBlock - 1) / vs::kFastScanBlock;
     return static_cast<std::size_t>(count * sizeof(idx_t) +
                                     nblocks * vs::packedBlockBytes(m));
-}
-
-/**
- * Score one packed list (mapped segment or in-RAM delta) and push every
- * lane into the running top-k. Identical math to
- * IvfPqFastScanIndex::searchClusters, which is what makes the cold
- * tier's distances bit-identical to the in-memory index.
- */
-void
-scanList(std::size_t m, const idx_t *ids, std::size_t count,
-         const std::uint8_t *packed, const vs::QuantizedLut &qlut,
-         vs::SearchScratch &sc, vs::TopK &topk)
-{
-    const std::size_t nblocks =
-        (count + vs::kFastScanBlock - 1) / vs::kFastScanBlock;
-    if (sc.scores.size() < nblocks * vs::kFastScanBlock)
-        sc.scores.resize(nblocks * vs::kFastScanBlock);
-    vs::scanPq4Blocks(m, packed, nblocks, qlut, sc.scores.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        const float dist =
-            qlut.bias + qlut.step * static_cast<float>(sc.scores[i]);
-        topk.push(ids[i], dist);
-    }
 }
 
 vs::ProductQuantizer
@@ -189,6 +167,9 @@ MmapColdTier::searchClusters(const float *query, std::size_t k,
     pq_.computeLut(query, sc.lut.data());
     const vs::QuantizedLut qlut = vs::quantizeLut(m, sc.lut);
 
+    // Mapped segments and in-RAM deltas go through the same
+    // vs::scanPackedList loop as the in-memory index, which is what
+    // keeps the cold tier's distances bit-identical to it.
     vs::TopK topk(k);
     std::shared_lock lock(stateMutex_);
     for (const cluster_id_t c : clusters) {
@@ -197,17 +178,18 @@ MmapColdTier::searchClusters(const float *query, std::size_t k,
         const vs::ListSegment &seg = map_->layout.segments[ci];
         if (seg.count > 0) {
             const std::uint8_t *segp = map_->lists + seg.offset;
-            scanList(m, reinterpret_cast<const idx_t *>(segp),
-                     static_cast<std::size_t>(seg.count),
-                     segp + seg.count * sizeof(idx_t), qlut, sc, topk);
+            vs::scanPackedList(m, reinterpret_cast<const idx_t *>(segp),
+                               static_cast<std::size_t>(seg.count),
+                               segp + seg.count * sizeof(idx_t), qlut,
+                               sc, topk);
         }
         for (const DeltaSet *ds : {sealed_.get(), active_.get()}) {
             if (ds == nullptr)
                 continue;
             const ClusterDelta &delta = ds->clusters[ci];
             if (!delta.ids.empty())
-                scanList(m, delta.ids.data(), delta.ids.size(),
-                         delta.packed.data(), qlut, sc, topk);
+                vs::scanPackedList(m, delta.ids.data(), delta.ids.size(),
+                                   delta.packed.data(), qlut, sc, topk);
         }
     }
     return topk.sortedHits();

@@ -20,9 +20,9 @@
  * Streaming ingestion: append() encodes new vectors into per-cluster
  * append-only delta lists held in RAM and visible to scans immediately;
  * mergeDeltas() folds them into a rewritten artifact (temp file +
- * atomic rename) and remaps, typically from the online updater's
- * repartition hook. Scans never block on a merge except for two brief
- * pointer swaps.
+ * atomic rename) and remaps; whoever owns the tier calls it on its own
+ * maintenance schedule. Scans never block on a merge except for two
+ * brief pointer swaps.
  */
 
 #ifndef VLR_STORAGE_MMAP_COLD_TIER_H

@@ -34,8 +34,8 @@ struct ProbeList
 
 /**
  * Interface for the coarse quantizer: nearest-centroid search. The paper
- * keeps CQ on the CPU (Section IV-A1); implementations here are a flat
- * scan and an HNSW graph.
+ * keeps CQ on the CPU (Section IV-A1); the implementation here is a flat
+ * scan.
  */
 class CoarseQuantizer
 {

@@ -8,6 +8,23 @@
 namespace vlr::vs
 {
 
+void
+scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
+               const std::uint8_t *packed, const QuantizedLut &qlut,
+               SearchScratch &sc, TopK &topk)
+{
+    const std::size_t nblocks =
+        (count + kFastScanBlock - 1) / kFastScanBlock;
+    if (sc.scores.size() < nblocks * kFastScanBlock)
+        sc.scores.resize(nblocks * kFastScanBlock);
+    scanPq4Blocks(m, packed, nblocks, qlut, sc.scores.data());
+    for (std::size_t i = 0; i < count; ++i) {
+        const float dist =
+            qlut.bias + qlut.step * static_cast<float>(sc.scores[i]);
+        topk.push(ids[i], dist);
+    }
+}
+
 IvfPqFastScanIndex::IvfPqFastScanIndex(
     std::shared_ptr<const CoarseQuantizer> cq, std::size_t m)
     : cq_(std::move(cq)), pq_(cq_->dim(), m, 4)
@@ -118,19 +135,9 @@ IvfPqFastScanIndex::searchClusters(const float *query, std::size_t k,
         const auto ci = static_cast<std::size_t>(c);
         assert(ci < ids_.size());
         const auto &list_ids = ids_[ci];
-        if (list_ids.empty())
-            continue;
-        const std::size_t nblocks =
-            (list_ids.size() + kFastScanBlock - 1) / kFastScanBlock;
-        if (sc.scores.size() < nblocks * kFastScanBlock)
-            sc.scores.resize(nblocks * kFastScanBlock);
-        scanPq4Blocks(m, packed_[ci].data(), nblocks, qlut,
-                      sc.scores.data());
-        for (std::size_t i = 0; i < list_ids.size(); ++i) {
-            const float dist =
-                qlut.bias + qlut.step * static_cast<float>(sc.scores[i]);
-            topk.push(list_ids[i], dist);
-        }
+        if (!list_ids.empty())
+            scanPackedList(m, list_ids.data(), list_ids.size(),
+                           packed_[ci].data(), qlut, sc, topk);
     }
     if (bd)
         bd->scanSeconds += t.elapsed();

@@ -33,6 +33,19 @@ struct SearchScratch
 };
 
 /**
+ * Score one packed inverted list with the fast-scan kernel and push
+ * every lane into @p topk. This is the one scan+top-k loop behind every
+ * fast-scan list reader — IvfPqFastScanIndex and the storage layer's
+ * memory-mapped cold tier — so their distances are bit-identical by
+ * construction. @p ids holds the list's @p count vector ids in scan
+ * order and @p packed its whole fast-scan blocks; sc.scores grows as
+ * needed.
+ */
+void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
+                    const std::uint8_t *packed, const QuantizedLut &qlut,
+                    SearchScratch &sc, TopK &topk);
+
+/**
  * IVF + PQ4 fast-scan index. PQ must use nbits = 4. Distances returned
  * are the uint8-LUT approximations mapped back to floats; they track the
  * plain ADC distances to within one quantization step per sub-quantizer.

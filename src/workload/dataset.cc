@@ -272,7 +272,7 @@ QueryGenerator::drift(double fraction)
     if (n < 2)
         return;
     // Rotate the top-n popularity ranks: previously-cold clusters
-    // become hot, which is the drift the online updater must absorb.
+    // become hot, which is the drift a repartition must absorb.
     std::vector<std::uint32_t> head(order_.begin(), order_.begin() + n);
     std::rotate(head.begin(), head.begin() + n / 2, head.end());
     std::copy(head.begin(), head.end(), order_.begin());

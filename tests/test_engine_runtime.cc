@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "core/engine_builder.h"
 #include "core/engine_runtime.h"
-#include "core/online_update.h"
 #include "core/tiered_index.h"
 #include "vecsearch/ivf_pq_fastscan.h"
 #include "vecsearch/kmeans.h"
@@ -311,48 +310,6 @@ TEST_F(EngineFixture, TieredEngineMatchesSerialSearch)
     EXPECT_EQ(ts.queries, nq_);
     EXPECT_EQ(ts.hotOnlyQueries + ts.coldOnlyQueries + ts.splitQueries,
               nq_);
-}
-
-TEST_F(EngineFixture, TieredEngineDrivesOnlineUpdater)
-{
-    // Empty hot tier + sloSearchSeconds ~ 0 forces every batch to
-    // report (hit rate 0, SLO miss); the updater must launch a
-    // background rebuild, after which queries still resolve correctly.
-    TieredIndex tiered(*index_, {});
-    OnlineUpdater::Options uopts;
-    uopts.drift.hitRateDivergence = 0.2;
-    uopts.drift.attainmentThreshold = 0.85;
-    uopts.drift.windowRequests = 4;
-    uopts.rho = 0.25;
-    OnlineUpdater updater(tiered, uopts, /*expected_hit_rate=*/0.9);
-
-    const auto engine = EngineBuilder(tiered)
-                            .defaultK(10)
-                            .defaultNprobe(8)
-                            .searchThreads(2)
-                            .batching({.maxBatch = 8,
-                                       .timeoutSeconds = 1e-3})
-                            .sloSearchSeconds(1e-12)
-                            .updater(&updater)
-                            .build();
-
-    const auto serial = serialResults(10, 8);
-    std::vector<std::future<SearchResponse>> futures;
-    for (std::size_t i = 0; i < nq_; ++i)
-        futures.push_back(engine->submit({.query = query(i)}));
-    engine->drain();
-    updater.waitForRebuild();
-
-    EXPECT_GE(updater.rebuildsCompleted(), 1u);
-    EXPECT_GE(tiered.stats().repartitions, 1u);
-    EXPECT_GT(tiered.numHotClusters(), 0u);
-    for (std::size_t i = 0; i < nq_; ++i) {
-        const auto r = futures[i].get();
-        ASSERT_EQ(r.hits.size(), serial[i].size()) << "query " << i;
-        for (std::size_t j = 0; j < serial[i].size(); ++j)
-            EXPECT_EQ(r.hits[j].id, serial[i][j].id)
-                << "query " << i << " rank " << j;
-    }
 }
 
 TEST_F(EngineFixture, StatsSnapshotIsConsistent)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the flat (exact) index and the HNSW graph index, including
- * the HNSW-backed coarse quantizer.
+ * Tests for the flat (exact) index, the exact-search reference the
+ * IVF-PQ recall tests compare against.
  */
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "vecsearch/flat_index.h"
-#include "vecsearch/hnsw.h"
 #include "vecsearch/metric.h"
 
 namespace vlr::vs
@@ -127,130 +125,6 @@ TEST(FlatIndex, InnerProductMetricOrdersDescending)
     EXPECT_EQ(hits[0].id, 1);
     EXPECT_EQ(hits[1].id, 2);
     EXPECT_EQ(hits[2].id, 0);
-}
-
-// --- HNSW --------------------------------------------------------------
-
-TEST(Hnsw, HighRecallOnGaussianData)
-{
-    Rng rng(6);
-    const std::size_t n = 2000, d = 16;
-    const auto data = gaussianData(rng, n, d);
-    FlatIndex flat(d);
-    flat.add(data, n);
-    HnswParams params;
-    params.M = 16;
-    params.efConstruction = 80;
-    params.efSearch = 64;
-    Hnsw hnsw(d, params);
-    hnsw.addBatch(data, n);
-    EXPECT_EQ(hnsw.size(), n);
-
-    const std::size_t nq = 50, k = 10;
-    const auto queries = gaussianData(rng, nq, d);
-    std::size_t found = 0;
-    for (std::size_t i = 0; i < nq; ++i) {
-        const auto exact = flat.search(queries.data() + i * d, k);
-        const auto approx = hnsw.search(queries.data() + i * d, k);
-        std::set<idx_t> truth;
-        for (const auto &h : exact)
-            truth.insert(h.id);
-        for (const auto &h : approx)
-            found += truth.count(h.id);
-    }
-    const double recall = static_cast<double>(found) / (nq * k);
-    EXPECT_GT(recall, 0.9);
-}
-
-TEST(Hnsw, SelfQueryFindsSelf)
-{
-    Rng rng(7);
-    const auto data = gaussianData(rng, 500, 8);
-    Hnsw hnsw(8);
-    hnsw.addBatch(data, 500);
-    const auto hits = hnsw.search(data.data() + 123 * 8, 1);
-    ASSERT_GE(hits.size(), 1u);
-    EXPECT_EQ(hits[0].id, 123);
-}
-
-TEST(Hnsw, GraphMemoryGrowsWithM)
-{
-    Rng rng(8);
-    const auto data = gaussianData(rng, 500, 8);
-    HnswParams small, big;
-    small.M = 8;
-    big.M = 32;
-    Hnsw a(8, small), b(8, big);
-    a.addBatch(data, 500);
-    b.addBatch(data, 500);
-    EXPECT_GT(b.graphMemoryBytes(), a.graphMemoryBytes());
-    EXPECT_EQ(a.vectorMemoryBytes(), b.vectorMemoryBytes());
-}
-
-TEST(Hnsw, MultipleLevelsEmergeAtScale)
-{
-    Rng rng(9);
-    const auto data = gaussianData(rng, 2000, 4);
-    Hnsw hnsw(4);
-    hnsw.addBatch(data, 2000);
-    EXPECT_GT(hnsw.maxLevel(), 0);
-}
-
-TEST(Hnsw, SearchOnEmptyIndexReturnsNothing)
-{
-    Hnsw hnsw(4);
-    const float q[] = {0.f, 0.f, 0.f, 0.f};
-    EXPECT_TRUE(hnsw.search(q, 5).empty());
-}
-
-// --- HnswCoarseQuantizer ------------------------------------------------
-
-TEST(HnswCq, ProbesAreSortedByDistance)
-{
-    Rng rng(10);
-    const std::size_t nlist = 128, d = 8;
-    auto centroids = gaussianData(rng, nlist, d);
-    HnswCoarseQuantizer cq(centroids, nlist, d);
-    EXPECT_EQ(cq.nlist(), nlist);
-    EXPECT_EQ(cq.dim(), d);
-
-    const auto q = gaussianData(rng, 1, d);
-    const auto probes = cq.probe(q.data(), 8);
-    ASSERT_EQ(probes.clusters.size(), 8u);
-    for (std::size_t i = 1; i < probes.dists.size(); ++i)
-        EXPECT_GE(probes.dists[i], probes.dists[i - 1]);
-}
-
-TEST(HnswCq, AgreesWithFlatCqOnTopProbe)
-{
-    Rng rng(11);
-    const std::size_t nlist = 256, d = 8;
-    auto centroids = gaussianData(rng, nlist, d);
-    FlatCoarseQuantizer flat(centroids, nlist, d);
-    HnswParams params;
-    params.efSearch = 128;
-    HnswCoarseQuantizer hnsw(centroids, nlist, d, params);
-
-    int agree = 0;
-    const int nq = 50;
-    const auto queries = gaussianData(rng, nq, d);
-    for (int i = 0; i < nq; ++i) {
-        const auto a = flat.probe(queries.data() + i * d, 1);
-        const auto b = hnsw.probe(queries.data() + i * d, 1);
-        agree += a.clusters[0] == b.clusters[0];
-    }
-    EXPECT_GE(agree, 45); // >= 90% top-1 agreement
-}
-
-TEST(HnswCq, CentroidAccessorRoundTrips)
-{
-    Rng rng(12);
-    const std::size_t nlist = 32, d = 4;
-    auto centroids = gaussianData(rng, nlist, d);
-    HnswCoarseQuantizer cq(centroids, nlist, d);
-    for (cluster_id_t c = 0; c < 32; ++c)
-        for (std::size_t j = 0; j < d; ++j)
-            EXPECT_FLOAT_EQ(cq.centroid(c)[j], centroids[c * d + j]);
 }
 
 } // namespace

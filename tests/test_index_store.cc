@@ -6,7 +6,7 @@
  * in-memory cold scan across coverages and shard counts, residency
  * accounting, streaming delta ingestion and artifact merge), and the
  * engine integration (EngineBuilder::fromArtifact cold start, coldTier
- * validation, OnlineUpdater repartition hook folding deltas).
+ * validation).
  */
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "core/engine_builder.h"
 #include "core/engine_runtime.h"
-#include "core/online_update.h"
 #include "core/tiered_index.h"
 #include "storage/index_store.h"
 #include "storage/mmap_cold_tier.h"
@@ -468,29 +467,6 @@ TEST_F(StoreFixture, FromArtifactWithMmapColdTierEndToEnd)
                                     nprobe_),
                      "cold-start tiered engine");
     }
-}
-
-TEST_F(StoreFixture, RepartitionHookMergesDeltas)
-{
-    MmapColdTier tier(path_);
-    tier.append(extra_, nextra_);
-    ASSERT_EQ(tier.deltaVectors(), nextra_);
-
-    core::TieredIndex tiered(*index_, topBySize(8));
-    core::OnlineUpdater updater(tiered, {}, 0.5);
-    updater.setRepartitionHook([&tier] { tier.mergeDeltas(); });
-    ASSERT_TRUE(updater.requestRepartition(topBySize(12)));
-    updater.waitForRebuild();
-    EXPECT_EQ(updater.rebuildsCompleted(), 1u);
-    EXPECT_EQ(tier.deltaVectors(), 0u);
-    EXPECT_EQ(tier.artifact().total, n_ + nextra_);
-
-    // A throwing hook is contained: the rebuild still completes.
-    updater.setRepartitionHook(
-        [] { throw std::runtime_error("hook boom"); });
-    ASSERT_TRUE(updater.requestRepartition(topBySize(8)));
-    updater.waitForRebuild();
-    EXPECT_EQ(updater.rebuildsCompleted(), 2u);
 }
 
 } // namespace

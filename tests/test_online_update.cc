@@ -4,15 +4,11 @@
  * re-profile / re-partition / re-split cycle (Section IV-B3, Fig. 9).
  */
 
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/online_update.h"
-#include "vecsearch/ivf_pq_fastscan.h"
-#include "vecsearch/kmeans.h"
 
 namespace vlr::core
 {
@@ -168,71 +164,6 @@ TEST(UpdateCycle, RestoresHitRateAfterDrift)
     EXPECT_GE(fresh_mean, stale_mean - 0.02);
     EXPECT_GT(outcome.timings.total(), 0.0);
     EXPECT_EQ(outcome.assignment.numShards(), 4u);
-}
-
-// --- Live updater expectation semantics --------------------------------
-
-TEST(OnlineUpdaterExpectation, NoRebuildChurnAfterSwap)
-{
-    // Regression (ROADMAP "updater expectation semantics"): the
-    // updater used to reset its expectation from
-    // AccessProfile::meanWorkHitRate — a work-mass aggregate — while
-    // record() observes per-query means, so a placement that matched
-    // traffic perfectly could re-trigger rebuilds forever. The fixed
-    // updater re-baselines on the first post-swap observations; steady
-    // observations after a swap must cause no further rebuild.
-    Rng rng(9);
-    const std::size_t n = 2000, d = 8, nlist = 16, m = 4;
-    std::vector<float> data(n * d);
-    for (auto &x : data)
-        x = static_cast<float>(rng.uniform(-1.0, 1.0));
-    vs::KMeansParams p;
-    p.k = nlist;
-    const auto km = vs::kmeansTrain(data, n, d, p);
-    const auto cq = std::make_shared<vs::FlatCoarseQuantizer>(
-        km.centroids, nlist, d);
-    vs::IvfPqFastScanIndex index(cq, m);
-    index.train(data, n);
-    index.add(data, n);
-
-    TieredIndex tiered(index, {});
-    // Populate live access counters so the rebuild has a profile to
-    // rank (drainAccessCounts feeds promote/demote).
-    for (std::size_t i = 0; i < 64; ++i)
-        tiered.search(data.data() + i * d, 5, 4);
-
-    OnlineUpdater::Options uopts;
-    uopts.drift.windowRequests = 8; // re-baseline window = 2
-    uopts.drift.hitRateDivergence = 0.1;
-    uopts.drift.attainmentThreshold = 0.85;
-    uopts.rho = 0.25;
-    OnlineUpdater updater(tiered, uopts, /*expected_hit_rate=*/0.9);
-
-    // Observed per-query mean 0.5 with SLO misses: drift vs 0.9.
-    for (int i = 0; i < 8 && updater.rebuildsCompleted() == 0; ++i)
-        updater.record(0.5, false);
-    updater.waitForRebuild();
-    ASSERT_EQ(updater.rebuildsCompleted(), 1u);
-    EXPECT_TRUE(updater.calibrating());
-
-    // Post-swap observations hold steady at the same per-query mean:
-    // the new placement serves exactly what it was built for, so no
-    // second rebuild may launch (the meanWorkHitRate reset churned
-    // here whenever the aggregate sat > divergence above the mean).
-    for (int i = 0; i < 64; ++i)
-        updater.record(0.5, false);
-    updater.waitForRebuild();
-    EXPECT_EQ(updater.rebuildsCompleted(), 1u);
-    EXPECT_FALSE(updater.calibrating());
-    EXPECT_NEAR(updater.expectedHitRate(), 0.5, 1e-9);
-    EXPECT_EQ(tiered.stats().repartitions, 1u);
-
-    // Genuine drift relative to the re-baselined expectation still
-    // fires.
-    for (int i = 0; i < 64 && updater.rebuildsCompleted() < 2; ++i)
-        updater.record(0.1, false);
-    updater.waitForRebuild();
-    EXPECT_EQ(updater.rebuildsCompleted(), 2u);
 }
 
 TEST(UpdateCycle, AssignmentMatchesPartition)

@@ -24,7 +24,6 @@
 #include "core/access_profile.h"
 #include "core/engine_builder.h"
 #include "core/engine_runtime.h"
-#include "core/online_update.h"
 #include "core/shard_backend.h"
 #include "core/tiered_index.h"
 #include "vecsearch/ivf_pq_fastscan.h"
@@ -467,14 +466,6 @@ TEST_F(ServingApiFixture, BuilderRejectsInconsistentComposition)
     EXPECT_THROW(EngineBuilder(tiered)
                      .tieredFromProfile(profile, 0.25)
                      .build(),
-                 std::invalid_argument);
-    // Updater without a caller-owned tiered index.
-    OnlineUpdater updater(tiered, {}, 0.5);
-    EXPECT_THROW(EngineBuilder(*index_).updater(&updater).build(),
-                 std::invalid_argument);
-    // Updater monitoring a different tiered index.
-    TieredIndex other(*index_, profile, 0.25);
-    EXPECT_THROW(EngineBuilder(other).updater(&updater).build(),
                  std::invalid_argument);
 }
 

@@ -3,8 +3,9 @@
  * Tests for the closed-loop control surface: EDF ordering inside a
  * priority class, graceful nprobe degradation under queue pressure
  * (never below the floor, parity when idle or disabled, and scoped to
- * degradable tenant classes), the SloAutopilot re-picking the hot set
- * after a hotspot flip through the OnlineUpdater snapshot swap, the
+ * degradable tenant classes), the SloAutopilot re-picking and
+ * rebuilding the hot set after a hotspot flip (in manual cycles and on
+ * its background control thread under concurrent clients), the
  * tenant-aware control cycle (adaptive admission shares tracking
  * measured demand inside each class's clamp, per-tenant SLO breaches
  * escalating coverage and the weighted miss objective), and
@@ -13,6 +14,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -27,7 +29,6 @@
 #include "core/access_profile.h"
 #include "core/engine_builder.h"
 #include "core/engine_runtime.h"
-#include "core/online_update.h"
 #include "core/shard_backend.h"
 #include "core/slo_autopilot.h"
 #include "core/tiered_index.h"
@@ -117,6 +118,42 @@ struct AutopilotFixture : public ::testing::Test
     query(std::size_t i) const
     {
         return {queries_.data() + i * d_, d_};
+    }
+
+    /**
+     * Manual-cycle policy under which a hotspot flip repartitions: no
+     * inter-cycle count history, so the flip is immediate, and a
+     * coverage floor, so the model's tiny-scale rho=0 pick keeps a
+     * live hot set whose membership can flip.
+     */
+    static AutopilotPolicy
+    flipPolicy()
+    {
+        AutopilotPolicy pilot;
+        pilot.enable = true;
+        pilot.controlIntervalSeconds = 0.0; // manual cycles only
+        pilot.minBatchObservations = 2;
+        pilot.queryReservoir = 32;
+        pilot.countDecay = 0.0;
+        pilot.minRho = 0.25;
+        pilot.maxBatchCap = 16;
+        return pilot;
+    }
+
+    /** Serve 64 hotspotQueries(lo, hi, seed) and drain; all served. */
+    void
+    serveHotspot(RetrievalEngine &engine, std::size_t center_lo,
+                 std::size_t center_hi, std::uint64_t seed) const
+    {
+        const auto q = hotspotQueries(64, center_lo, center_hi, seed);
+        std::vector<SearchRequest> requests(64);
+        for (std::size_t i = 0; i < requests.size(); ++i)
+            requests[i].query =
+                std::span<const float>(q.data() + i * d_, d_);
+        auto futures = engine.submitMany(requests);
+        engine.drain();
+        for (auto &f : futures)
+            ASSERT_EQ(f.get().disposition, Disposition::kServed);
     }
 
     const std::size_t n_ = 3000;
@@ -296,56 +333,26 @@ TEST_F(AutopilotFixture, AutopilotRepicksHotSetAfterHotspotFlip)
     // Serve a population hammering one center range, run a manual
     // control cycle, then flip the hotspot to a disjoint range: the
     // next cycle must detect the stale hot set (overlap check) and
-    // repartition through the updater's snapshot swap.
+    // repartition the tier before it returns.
     const auto profile = makeProfile();
     TieredIndex tiered(*index_, profile, 0.25, TieredOptions{1, {}});
-    OnlineUpdater::Options uopts;
-    uopts.rho = 0.25;
-    OnlineUpdater updater(tiered, uopts,
-                          profile.meanWorkHitRate(0.25));
-
-    AutopilotPolicy pilot;
-    pilot.enable = true;
-    pilot.controlIntervalSeconds = 0.0; // manual cycles only
-    pilot.minBatchObservations = 2;
-    pilot.queryReservoir = 32;
-    // Drop inter-cycle count history so the flip is immediate, and
-    // pin a coverage floor so the model's tiny-scale rho=0 pick keeps
-    // a live hot set whose membership can flip.
-    pilot.countDecay = 0.0;
-    pilot.minRho = 0.25;
-    pilot.maxBatchCap = 16;
-
+    const AutopilotPolicy pilot = flipPolicy();
     const auto engine = EngineBuilder(tiered)
                             .searchThreads(2)
                             .batching({.maxBatch = 8,
                                        .timeoutSeconds = 1e-3})
                             .autopilot(pilot)
-                            .updater(&updater)
                             .build();
     ASSERT_NE(engine->autopilot(), nullptr);
 
-    const auto serve = [&](const std::vector<float> &q) {
-        std::vector<SearchRequest> requests(q.size() / d_);
-        for (std::size_t i = 0; i < requests.size(); ++i)
-            requests[i].query =
-                std::span<const float>(q.data() + i * d_, d_);
-        auto futures = engine->submitMany(requests);
-        engine->drain();
-        for (auto &f : futures)
-            ASSERT_EQ(f.get().disposition, Disposition::kServed);
-    };
-
-    serve(hotspotQueries(64, 0, 8, 101));
+    serveHotspot(*engine, 0, 8, 101);
     engine->autopilot()->runControlCycle();
-    updater.waitForRebuild();
     const auto hot_a = tiered.hotBitmap();
 
-    serve(hotspotQueries(64, 16, 24, 202));
+    serveHotspot(*engine, 16, 24, 202);
     const bool repartitioned = engine->autopilot()->runControlCycle();
     EXPECT_TRUE(repartitioned)
         << "hotspot flip must trigger a repartition";
-    updater.waitForRebuild();
     const auto hot_b = tiered.hotBitmap();
     EXPECT_NE(hot_a, hot_b) << "hot-set membership must move";
 
@@ -364,6 +371,87 @@ TEST_F(AutopilotFixture, AutopilotRepicksHotSetAfterHotspotFlip)
     EXPECT_GE(engine->batchCap(), 1u);
     EXPECT_LE(engine->batchCap(), pilot.maxBatchCap);
     EXPECT_EQ(engine->autopilot()->cyclesRun(), 2u);
+    EXPECT_EQ(tiered.stats().repartitions, s.autopilotRepartitions);
+}
+
+TEST_F(AutopilotFixture, BackgroundControlLoopRepartitionsUnderLoad)
+{
+    // The control thread at a few-ms interval rebuilds the
+    // engine-owned tier while client threads keep submitting across a
+    // hotspot flip. Every request must resolve exactly once with hits
+    // bit-identical to the flat index, at least one repartition must
+    // land, and the engine must tear down with the control thread
+    // still running.
+    const auto profile = makeProfile();
+    const std::size_t k = 10, nprobe = 8;
+    constexpr std::size_t kClients = 2, kRound = 32;
+    // Round 0 hammers centers [0, 8); every later round the disjoint
+    // [16, 24).
+    const std::vector<float> phases[2] = {
+        hotspotQueries(kRound, 0, 8, 101),
+        hotspotQueries(kRound, 16, 24, 202)};
+    std::vector<std::vector<vs::SearchHit>> expected[2];
+    for (std::size_t p = 0; p < 2; ++p)
+        for (std::size_t i = 0; i < kRound; ++i)
+            expected[p].push_back(
+                index_->search(phases[p].data() + i * d_, k, nprobe));
+
+    AutopilotPolicy pilot = flipPolicy();
+    pilot.controlIntervalSeconds = 0.005;
+    auto engine = EngineBuilder(*index_)
+                      .tieredFromProfile(profile, 0.25)
+                      .defaultK(k)
+                      .defaultNprobe(nprobe)
+                      .searchThreads(2)
+                      .batching({.maxBatch = 8, .timeoutSeconds = 1e-3})
+                      .autopilot(pilot)
+                      .build();
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> resolved{0};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c)
+        clients.emplace_back([&] {
+            // At least one round on each side of the flip, then keep
+            // the load on until the main thread has seen a repartition.
+            std::vector<SearchRequest> requests(kRound);
+            for (std::size_t round = 0;
+                 round < 2 || (!stop.load() && round < 5000); ++round) {
+                const std::size_t p = round == 0 ? 0 : 1;
+                for (std::size_t i = 0; i < kRound; ++i)
+                    requests[i].query = std::span<const float>(
+                        phases[p].data() + i * d_, d_);
+                auto futures = engine->submitMany(requests);
+                for (std::size_t i = 0; i < kRound; ++i) {
+                    const SearchResponse r = futures[i].get();
+                    EXPECT_EQ(r.disposition, Disposition::kServed);
+                    EXPECT_EQ(r.hits, expected[p][i]) << "query " << i;
+                    resolved.fetch_add(1);
+                }
+            }
+        });
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (engine->stats().autopilotRepartitions == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stop.store(true);
+    for (auto &t : clients)
+        t.join();
+
+    // Every future resolved once (a second resolution would throw in
+    // the dispatcher), and the engine accounted each one as served.
+    const auto s = engine->stats();
+    EXPECT_GE(s.autopilotRepartitions, 1u);
+    EXPECT_GE(engine->tiered()->stats().repartitions,
+              s.autopilotRepartitions);
+    EXPECT_GE(resolved.load(), 2 * kClients * kRound);
+    EXPECT_EQ(s.submitted, resolved.load());
+    EXPECT_EQ(s.served, resolved.load());
+
+    // No stop(): the engine joins the live control thread itself.
+    engine.reset();
 }
 
 TEST_F(AutopilotFixture, AutopilotCycleWithoutTrafficIsANoOp)
@@ -372,17 +460,10 @@ TEST_F(AutopilotFixture, AutopilotCycleWithoutTrafficIsANoOp)
     // nor record a decision — but still count as a cycle.
     const auto profile = makeProfile();
     TieredIndex tiered(*index_, profile, 0.25, TieredOptions{1, {}});
-    OnlineUpdater::Options uopts;
-    uopts.rho = 0.25;
-    OnlineUpdater updater(tiered, uopts,
-                          profile.meanWorkHitRate(0.25));
     AutopilotPolicy pilot;
     pilot.enable = true;
     pilot.controlIntervalSeconds = 0.0;
-    const auto engine = EngineBuilder(tiered)
-                            .autopilot(pilot)
-                            .updater(&updater)
-                            .build();
+    const auto engine = EngineBuilder(tiered).autopilot(pilot).build();
 
     EXPECT_FALSE(engine->autopilot()->runControlCycle());
     const auto s = engine->stats();
@@ -621,9 +702,22 @@ TEST_F(AutopilotFixture, BuilderValidatesControlPolicies)
     pilot.enable = true;
     EXPECT_THROW(EngineBuilder(*index_).autopilot(pilot).build(),
                  std::invalid_argument);
-    // ...and over a caller-owned tier, an updater as actuation path.
-    EXPECT_THROW(EngineBuilder(tiered).autopilot(pilot).build(),
-                 std::invalid_argument);
+    // ...and a caller-owned tier is enough: the autopilot repartitions
+    // it directly, so one manual cycle after a flip rebuilds it.
+    {
+        const auto engine = EngineBuilder(tiered)
+                                .searchThreads(2)
+                                .batching({.maxBatch = 8,
+                                           .timeoutSeconds = 1e-3})
+                                .autopilot(flipPolicy())
+                                .build();
+        serveHotspot(*engine, 0, 8, 101);
+        engine->autopilot()->runControlCycle();
+        const auto before = tiered.stats().repartitions;
+        serveHotspot(*engine, 16, 24, 202);
+        EXPECT_TRUE(engine->autopilot()->runControlCycle());
+        EXPECT_EQ(tiered.stats().repartitions, before + 1);
+    }
 
     // Degradation knobs.
     DegradationPolicy degrade;
@@ -666,7 +760,7 @@ TEST_F(AutopilotFixture, BuilderValidatesControlPolicies)
 
 TEST_F(AutopilotFixture, BuilderComposesEngineOwnedControlPlane)
 {
-    // tieredFromProfile + autopilot: the engine owns tier, updater and
+    // tieredFromProfile + autopilot: the engine owns tier and
     // autopilot, and tears them down in order. Manual cycles work and
     // the engine serves normally throughout.
     const auto profile = makeProfile();

@@ -5,8 +5,7 @@
  * pruned-routing edge cases (fully hot / fully cold / split probe
  * lists, rho = 0 and rho = 1), pluggable shard backends (throttled
  * double under concurrent repartition), live access counting and its
- * drain consistency contract, concurrent repartition, and the
- * OnlineUpdater's drift-triggered background rebuild.
+ * drain consistency contract, and concurrent repartition.
  */
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/online_update.h"
 #include "core/tiered_index.h"
 #include "vecsearch/kmeans.h"
 
@@ -686,38 +684,6 @@ TEST_F(TieredFixture, ConcurrentSearchRepartitionDrainStress)
     // retire() frees eagerly once no reader pins an older epoch.
     tiered.repartition(topBySize(nlist_ / 4));
     EXPECT_EQ(tiered.stats().pendingReclaims, 0u);
-}
-
-TEST_F(TieredFixture, OnlineUpdaterTriggersBackgroundRebuild)
-{
-    // Start with an empty hot tier but claim a high expected hit rate:
-    // observed rates of ~0 diverge immediately once the window fills.
-    TieredIndex tiered(*index_, {});
-    OnlineUpdater::Options opts;
-    opts.drift.hitRateDivergence = 0.2;
-    opts.drift.attainmentThreshold = 0.85;
-    opts.drift.windowRequests = 16;
-    opts.rho = 0.5;
-    OnlineUpdater updater(tiered, opts, /*expected_hit_rate=*/0.9);
-
-    bool launched = false;
-    for (std::size_t i = 0; i < nq_ && !launched; ++i) {
-        TieredQueryStats qs;
-        tiered.search(queries_.data() + (i % nq_) * d_, k_, nprobe_,
-                      nullptr, &qs);
-        launched = updater.record(qs.hitRate, /*slo_met=*/false);
-    }
-    EXPECT_TRUE(launched);
-    updater.waitForRebuild();
-
-    EXPECT_EQ(updater.rebuildsCompleted(), 1u);
-    EXPECT_FALSE(updater.rebuildInFlight());
-    const auto s = tiered.stats();
-    EXPECT_EQ(s.repartitions, 1u);
-    EXPECT_EQ(s.numHot, (nlist_ + 1) / 2);
-    // The rebuilt expectation reflects the drained counts at rho.
-    EXPECT_GT(updater.expectedHitRate(), 0.0);
-    expectParity(tiered, k_, nprobe_);
 }
 
 } // namespace
