@@ -286,9 +286,14 @@ class RetrievalEngine
         static constexpr std::size_t kCapacity = 65536;
         /** Per-tenant digests use a smaller reservoir. */
         static constexpr std::size_t kTenantCapacity = 8192;
-        std::size_t cap = kCapacity;
+        std::size_t cap;
         std::vector<double> samples;
         std::size_t seen = 0;
+
+        explicit Reservoir(std::size_t capacity = kCapacity)
+            : cap(capacity)
+        {
+        }
 
         void
         add(double x, Rng &rng)

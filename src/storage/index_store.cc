@@ -106,6 +106,16 @@ readHeader(std::istream &is)
     if (h.dim == 0 || h.m == 0 || h.nbits == 0 || h.nlist == 0 ||
         h.pageSize == 0 || (h.pageSize & (h.pageSize - 1)) != 0)
         throw vs::IoError("implausible artifact header fields");
+    if (h.nbits != 4)
+        throw vs::IoError("artifact PQ has nbits = " +
+                          std::to_string(h.nbits) +
+                          "; fast scan needs 4");
+    if (h.m > vs::kMaxFastScanSub)
+        throw vs::IoError("artifact PQ has m = " + std::to_string(h.m) +
+                          " sub-quantizers, above the fast-scan bound "
+                          "of " +
+                          std::to_string(vs::kMaxFastScanSub) +
+                          " where uint16 scores can overflow");
     if (h.pqOffset < kHeaderBytes || h.cqOffset <= h.pqOffset ||
         h.listsOffset <= h.cqOffset ||
         h.listsOffset % h.pageSize != 0 ||

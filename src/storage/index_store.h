@@ -24,7 +24,9 @@
  *                   page-aligned; see io.h for its internal layout
  *
  * All load paths throw vs::IoError — never abort — on bad magic,
- * unsupported version, truncation, or cross-section inconsistencies.
+ * unsupported version, truncation, a PQ shape fast scan cannot serve
+ * (nbits != 4, m > vs::kMaxFastScanSub), or cross-section
+ * inconsistencies.
  */
 
 #ifndef VLR_STORAGE_INDEX_STORE_H

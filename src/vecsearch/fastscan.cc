@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #ifdef VLR_USE_AVX2
 #include <immintrin.h>
@@ -10,6 +11,48 @@
 
 namespace vlr::vs
 {
+
+int
+QuantizedLut::scoreBound(float dist) const
+{
+    constexpr int kTop = std::numeric_limits<std::uint16_t>::max();
+    if (!std::isfinite(bias) || !std::isfinite(step) || step < 0.f)
+        return kTop;
+    const auto fits = [&](int s) {
+        return distance(static_cast<std::uint16_t>(s)) <= dist;
+    };
+
+    // Fast path: dist is usually the distance of the heap's worst score
+    // g, or falls between those of g and g + 1. The inverse map rounded
+    // to nearest lands on g or g + 1; two fits() calls confirm it.
+    const float inverse = (dist - bias) / step;
+    if (inverse >= 0.f && inverse <= static_cast<float>(kTop)) {
+        const int g = static_cast<int>(inverse + 0.5f);
+        if (fits(g)) {
+            if (g == kTop || !fits(g + 1))
+                return g;
+        } else if (g > 0 && fits(g - 1)) {
+            return g - 1;
+        }
+    }
+
+    // Otherwise dist is outside the score range, or float spacing at
+    // dist is coarser than step so that a run of scores shares one
+    // distance: bisect for the last score that fits.
+    if (!fits(0))
+        return -1;
+    if (fits(kTop))
+        return kTop;
+    int lo = 0, hi = kTop; // invariant: fits(lo) && !fits(hi)
+    while (hi - lo > 1) {
+        const int mid = lo + (hi - lo) / 2;
+        if (fits(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
 
 std::size_t
 packedBlockBytes(std::size_t m)

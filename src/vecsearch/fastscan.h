@@ -24,6 +24,13 @@ namespace vlr::vs
 /** Number of codes per packed block. */
 inline constexpr std::size_t kFastScanBlock = 32;
 
+/**
+ * Most sub-quantizers a fast-scan index may have. A lane's score is a
+ * uint16 sum of m uint8 LUT entries, which cannot wrap while
+ * 255 * m <= 65535.
+ */
+inline constexpr std::size_t kMaxFastScanSub = 257;
+
 /** uint8-quantized ADC lookup table with the affine mapping back. */
 struct QuantizedLut
 {
@@ -32,6 +39,29 @@ struct QuantizedLut
     /** Reconstruction: distance ~= bias + step * accumulated_score. */
     float bias = 0.f;
     float step = 1.f;
+
+    /**
+     * Distance of one accumulated score. Every scan+top-k reader and
+     * scoreBound() evaluate this one expression, so a bound derived from
+     * a distance and the distances pushed for the lanes it admits agree
+     * bit for bit.
+     */
+    float
+    distance(std::uint16_t score) const
+    {
+        return bias + step * static_cast<float>(score);
+    }
+
+    /**
+     * Largest score whose distance() is <= @p dist, or -1 when even
+     * score 0 maps above it. With a finite bias and a finite step >= 0
+     * (what quantizeLut builds from a finite LUT) distance() is
+     * monotone in the score, because a rounded multiply and a rounded
+     * add each preserve order, so every score above the bound maps
+     * strictly above @p dist. Otherwise the bound is 65535 and filters
+     * nothing.
+     */
+    int scoreBound(float dist) const;
 };
 
 /** Bytes of one packed block for m sub-quantizers. */

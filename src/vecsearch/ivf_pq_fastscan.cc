@@ -1,12 +1,47 @@
 #include "vecsearch/ivf_pq_fastscan.h"
 
+#include <bit>
 #include <cassert>
+
+#ifdef VLR_USE_AVX2
+#include <immintrin.h>
+#endif
 
 #include "common/log.h"
 #include "common/timer.h"
 
 namespace vlr::vs
 {
+
+namespace
+{
+
+/** Lanes tested against the k-th bound at once. */
+constexpr std::size_t kBoundGroup = 16;
+
+/**
+ * Mask of the 16 scores at @p s that are <= @p bound: bit 2j is set
+ * for lane j (movemask's two bits per uint16 lane, low bit kept).
+ */
+std::uint32_t
+lanesAtMost(const std::uint16_t *s, std::uint16_t bound)
+{
+#ifdef VLR_USE_AVX2
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(s));
+    const __m256i b = _mm256_set1_epi16(static_cast<short>(bound));
+    const __m256i le = _mm256_cmpeq_epi16(_mm256_min_epu16(v, b), v);
+    return static_cast<std::uint32_t>(_mm256_movemask_epi8(le)) &
+           0x55555555u;
+#else
+    std::uint32_t mask = 0;
+    for (std::size_t j = 0; j < kBoundGroup; ++j)
+        mask |= static_cast<std::uint32_t>(s[j] <= bound) << (2 * j);
+    return mask;
+#endif
+}
+
+} // namespace
 
 void
 scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
@@ -18,10 +53,44 @@ scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
     if (sc.scores.size() < nblocks * kFastScanBlock)
         sc.scores.resize(nblocks * kFastScanBlock);
     scanPq4Blocks(m, packed, nblocks, qlut, sc.scores.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        const float dist =
-            qlut.bias + qlut.step * static_cast<float>(sc.scores[i]);
-        topk.push(ids[i], dist);
+    const std::uint16_t *scores = sc.scores.data();
+
+    std::size_t i = 0;
+    for (; i < count && !topk.full(); ++i)
+        topk.push(ids[i], qlut.distance(scores[i]));
+    if (i == count)
+        return;
+
+    // topk is full: a lane can enter only if its distance is <= the
+    // k-th best, i.e. its score is <= bound. Groups start on a multiple
+    // of 16, so every load stays inside the whole blocks scored above.
+    int bound = qlut.scoreBound(topk.worst());
+    if (bound < 0)
+        return;
+    std::size_t g = i / kBoundGroup * kBoundGroup;
+    const std::size_t last = (count - 1) / kBoundGroup * kBoundGroup;
+    // Lanes before i were pushed above; lanes from count on are padding.
+    std::uint32_t keep = ~0u << (2 * (i - g));
+    const std::uint32_t tail = ~0u >> (2 * (last + kBoundGroup - count));
+    for (; g <= last; g += kBoundGroup, keep = ~0u) {
+        std::uint32_t mask =
+            lanesAtMost(scores + g, static_cast<std::uint16_t>(bound)) &
+            keep;
+        if (mask == 0)
+            continue;
+        if (g == last)
+            mask &= tail;
+        for (; mask != 0; mask &= mask - 1) {
+            const std::size_t j =
+                g + static_cast<std::size_t>(std::countr_zero(mask)) / 2;
+            // Each push can lower the bound below lanes already masked.
+            if (scores[j] > bound)
+                continue;
+            topk.push(ids[j], qlut.distance(scores[j]));
+            bound = qlut.scoreBound(topk.worst());
+            if (bound < 0)
+                return;
+        }
     }
 }
 
@@ -29,6 +98,10 @@ IvfPqFastScanIndex::IvfPqFastScanIndex(
     std::shared_ptr<const CoarseQuantizer> cq, std::size_t m)
     : cq_(std::move(cq)), pq_(cq_->dim(), m, 4)
 {
+    if (m > kMaxFastScanSub)
+        fatal("IvfPqFastScanIndex: m = " + std::to_string(m) +
+              " exceeds " + std::to_string(kMaxFastScanSub) +
+              ", where uint16 fast-scan scores can overflow");
     ids_.resize(cq_->nlist());
     packed_.resize(cq_->nlist());
 }
@@ -219,6 +292,10 @@ IvfPqFastScanIndex::fromParts(std::shared_ptr<const CoarseQuantizer> cq,
 {
     if (!pq.isTrained())
         fatal("IvfPqFastScanIndex::fromParts: quantizer is not trained");
+    if (pq.nbits() != 4)
+        fatal("IvfPqFastScanIndex::fromParts: fast scan needs a 4-bit "
+              "PQ, got nbits = " +
+              std::to_string(pq.nbits()));
     if (pq.dim() != cq->dim())
         fatal("IvfPqFastScanIndex::fromParts: PQ/CQ dimension mismatch");
     if (ids.size() != cq->nlist() || packed.size() != cq->nlist())

@@ -33,22 +33,33 @@ struct SearchScratch
 };
 
 /**
- * Score one packed inverted list with the fast-scan kernel and push
- * every lane into @p topk. This is the one scan+top-k loop behind every
- * fast-scan list reader — IvfPqFastScanIndex and the storage layer's
- * memory-mapped cold tier — so their distances are bit-identical by
- * construction. @p ids holds the list's @p count vector ids in scan
- * order and @p packed its whole fast-scan blocks; sc.scores grows as
- * needed.
+ * Score one packed inverted list with the fast-scan kernel and push the
+ * lanes that can still enter @p topk. This is the one scan+top-k loop
+ * behind every fast-scan list reader — IvfPqFastScanIndex and the
+ * storage layer's memory-mapped cold tier — so their distances are
+ * bit-identical by construction. @p ids holds the list's @p count
+ * vector ids in scan order and @p packed its whole fast-scan blocks;
+ * sc.scores grows as needed.
+ *
+ * Lanes are pushed until @p topk is full. After that, the k-th best
+ * distance becomes a score bound (QuantizedLut::scoreBound), and only
+ * lanes scoring at most the bound are dequantized and pushed. Each
+ * 16-lane group is tested with one SIMD compare, and the bound is
+ * refreshed after every push. The filter is exact: a lane above the
+ * bound maps to a distance above the k-th best, so TopK would reject
+ * it anyway. The hits therefore equal those of pushing every lane, bit
+ * for bit.
  */
 void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
                     const std::uint8_t *packed, const QuantizedLut &qlut,
                     SearchScratch &sc, TopK &topk);
 
 /**
- * IVF + PQ4 fast-scan index. PQ must use nbits = 4. Distances returned
- * are the uint8-LUT approximations mapped back to floats; they track the
- * plain ADC distances to within one quantization step per sub-quantizer.
+ * IVF + PQ4 fast-scan index. PQ must use nbits = 4 and at most
+ * kMaxFastScanSub sub-quantizers; the constructor and fromParts() call
+ * fatal() otherwise. Distances returned are the uint8-LUT
+ * approximations mapped back to floats; they track the plain ADC
+ * distances to within one quantization step per sub-quantizer.
  *
  * Search is reentrant: const search methods share no mutable state, so
  * any number of threads may query one index concurrently (the engine's

@@ -1,16 +1,23 @@
 /**
  * @file
  * Tests for the PQ4 fast-scan kernels: packing layout, SIMD/scalar
- * agreement and LUT quantization error bounds.
+ * agreement, LUT quantization error bounds, the score bound, and the
+ * bounded list scan against a push-every-lane reference.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "vecsearch/fastscan.h"
+#include "vecsearch/ivf_pq_fastscan.h"
+#include "vecsearch/topk.h"
 
 namespace vlr::vs
 {
@@ -212,6 +219,312 @@ TEST(FastScan, AppendMatchesRepackOverConcatenation)
                 << n_old << "+" << n_new;
             EXPECT_TRUE(packed == repacked) << n_old << "+" << n_new;
         }
+}
+
+TEST(FastScan, MaxSubQuantizersScoreExactly65535)
+{
+    // 255 * 257 = 65535: the widest shape whose uint16 lane sums cannot
+    // wrap, scored with every lane on its row's max entry.
+    static_assert(255 * kMaxFastScanSub == 65535);
+    const std::size_t m = kMaxFastScanSub, n = 40;
+    std::vector<float> lut(m * 16);
+    for (std::size_t i = 0; i < lut.size(); ++i)
+        lut[i] = static_cast<float>(i % 16);
+    const auto qlut = quantizeLut(m, lut);
+    for (std::size_t s = 0; s < m; ++s)
+        ASSERT_EQ(qlut.table[s * 16 + 15], 255) << "row " << s;
+    const std::vector<std::uint8_t> codes(n * m, 15);
+    const auto packed = packPq4Codes(m, codes, n);
+    const std::size_t nblocks = packed.size() / packedBlockBytes(m);
+
+    std::vector<std::uint16_t> simd(nblocks * kFastScanBlock);
+    std::vector<std::uint16_t> scalar(nblocks * kFastScanBlock);
+    scanPq4Blocks(m, packed.data(), nblocks, qlut, simd.data());
+    scanPq4BlocksScalar(m, packed.data(), nblocks, qlut, scalar.data());
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(simd[i], 65535) << "lane " << i;
+        EXPECT_EQ(scalar[i], 65535) << "lane " << i;
+    }
+}
+
+// --- The score bound and the bounded list scan ------------------------
+
+/** Brute-force definition of QuantizedLut::scoreBound. */
+int
+bruteBound(const QuantizedLut &q, float dist)
+{
+    int bound = -1;
+    for (int s = 0; s <= 65535; ++s)
+        if (q.distance(static_cast<std::uint16_t>(s)) <= dist)
+            bound = s;
+    return bound;
+}
+
+QuantizedLut
+affineLut(float bias, float step)
+{
+    QuantizedLut q;
+    q.bias = bias;
+    q.step = step;
+    return q;
+}
+
+TEST(FastScanScoreBound, BoundAtAScoresDistanceKeepsThatScore)
+{
+    Rng rng(31);
+    const auto q = quantizeLut(8, randomLut(rng, 8));
+    for (const int s : {0, 1, 2, 100, 1000, 2039, 40000, 65534, 65535}) {
+        const float dist = q.distance(static_cast<std::uint16_t>(s));
+        const int bound = q.scoreBound(dist);
+        EXPECT_GE(bound, s);
+        EXPECT_EQ(q.distance(static_cast<std::uint16_t>(bound)), dist);
+        EXPECT_EQ(bound, bruteBound(q, dist)) << "score " << s;
+    }
+}
+
+TEST(FastScanScoreBound, OutsideTheScoreRange)
+{
+    Rng rng(32);
+    const auto q = quantizeLut(8, randomLut(rng, 8));
+    const float inf = std::numeric_limits<float>::infinity();
+    const float d0 = q.distance(0);
+    const float dtop = q.distance(65535);
+    EXPECT_EQ(q.scoreBound(std::nextafter(d0, -inf)), -1);
+    EXPECT_EQ(q.scoreBound(-inf), -1);
+    EXPECT_EQ(q.scoreBound(std::numeric_limits<float>::quiet_NaN()), -1);
+    EXPECT_EQ(q.scoreBound(d0), bruteBound(q, d0));
+    EXPECT_EQ(q.scoreBound(dtop), 65535);
+    EXPECT_EQ(q.scoreBound(std::nextafter(dtop, inf)), 65535);
+    EXPECT_EQ(q.scoreBound(std::numeric_limits<float>::max()), 65535);
+    EXPECT_EQ(q.scoreBound(inf), 65535);
+}
+
+TEST(FastScanScoreBound, ConstantRowsGiveTheUnitStepLut)
+{
+    // quantizeLut falls back to step = 1 when every row is constant;
+    // every entry quantizes to 0, so every lane scores 0.
+    const std::size_t m = 4;
+    const std::vector<float> lut(m * 16, 0.75f);
+    const auto q = quantizeLut(m, lut);
+    ASSERT_EQ(q.step, 1.f);
+    EXPECT_EQ(q.scoreBound(q.distance(0)), 0);
+    EXPECT_EQ(q.scoreBound(q.distance(0) + 2.5f), 2);
+    EXPECT_EQ(q.scoreBound(std::nextafter(q.distance(0), -1e9f)), -1);
+    for (const float dist : {0.f, 3.f, 3.5f, 100.f, 65538.f, 70000.f})
+        EXPECT_EQ(q.scoreBound(dist), bruteBound(q, dist)) << dist;
+}
+
+TEST(FastScanScoreBound, MatchesBruteForce)
+{
+    Rng rng(33);
+    std::vector<QuantizedLut> luts = {
+        quantizeLut(8, randomLut(rng, 8)),
+        quantizeLut(64, randomLut(rng, 64)),
+        affineLut(-3.f, 1e-3f),
+        // Float spacing at 1e6 is 0.0625, so ~600 consecutive scores
+        // share each distance and the bound is the last of a run.
+        affineLut(1e6f, 1e-4f),
+        affineLut(2.f, 0.f),
+    };
+    for (std::size_t li = 0; li < luts.size(); ++li) {
+        const QuantizedLut &q = luts[li];
+        for (int t = 0; t < 40; ++t) {
+            const auto s = static_cast<std::uint16_t>(rng.uniformU64(65536));
+            float dist = q.distance(s);
+            if (t % 3 == 1)
+                dist = std::nextafter(dist, -1e30f);
+            else if (t % 3 == 2)
+                dist = std::nextafter(dist, 1e30f);
+            ASSERT_EQ(q.scoreBound(dist), bruteBound(q, dist))
+                << "lut " << li << " dist " << dist;
+        }
+    }
+}
+
+TEST(FastScanScoreBound, UnorderedMapFiltersNothing)
+{
+    EXPECT_EQ(affineLut(1.f, -0.5f).scoreBound(0.f), 65535);
+    EXPECT_EQ(affineLut(std::numeric_limits<float>::quiet_NaN(), 1.f)
+                  .scoreBound(0.f),
+              65535);
+    EXPECT_EQ(affineLut(0.f, std::numeric_limits<float>::infinity())
+                  .scoreBound(0.f),
+              65535);
+}
+
+/** A packed list whose ids are a shuffle of [first, first + n). */
+struct PackedList
+{
+    std::vector<idx_t> ids;
+    std::vector<std::uint8_t> packed;
+};
+
+PackedList
+makeList(Rng &rng, std::size_t m, const std::vector<std::uint8_t> &codes,
+         idx_t first)
+{
+    const std::size_t n = codes.size() / m;
+    PackedList l;
+    l.ids.resize(n);
+    std::iota(l.ids.begin(), l.ids.end(), first);
+    for (std::size_t i = n; i > 1; --i)
+        std::swap(l.ids[i - 1], l.ids[rng.uniformU64(i)]);
+    l.packed = packPq4Codes(m, codes, n);
+    return l;
+}
+
+/** The loop scanPackedList replaced: dequantize and push every lane. */
+void
+pushEveryLane(std::size_t m, const PackedList &l, const QuantizedLut &qlut,
+              TopK &topk)
+{
+    const std::size_t nblocks = l.packed.size() / packedBlockBytes(m);
+    std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
+    scanPq4Blocks(m, l.packed.data(), nblocks, qlut, scores.data());
+    for (std::size_t i = 0; i < l.ids.size(); ++i)
+        topk.push(l.ids[i],
+                  qlut.bias + qlut.step * static_cast<float>(scores[i]));
+}
+
+void
+scanList(std::size_t m, const PackedList &l, const QuantizedLut &qlut,
+         SearchScratch &sc, TopK &topk)
+{
+    scanPackedList(m, l.ids.data(), l.ids.size(), l.packed.data(), qlut, sc,
+                   topk);
+}
+
+void
+expectSameHits(const TopK &got, const TopK &want, const std::string &what)
+{
+    const auto g = got.sortedHits();
+    const auto w = want.sortedHits();
+    ASSERT_EQ(g.size(), w.size()) << what;
+    for (std::size_t j = 0; j < w.size(); ++j) {
+        EXPECT_EQ(g[j].id, w[j].id) << what << " rank " << j;
+        EXPECT_EQ(g[j].dist, w[j].dist) << what << " rank " << j;
+    }
+}
+
+TEST(FastScanListScan, MatchesPushEveryLane)
+{
+    Rng rng(41);
+    // One scratch for every case: scores left over from a longer list
+    // must never leak into a shorter one.
+    SearchScratch sc;
+    // m = 2 keeps scores within 0..510, so 1000-code lists tie a lot.
+    for (const std::size_t m : {2ul, 8ul})
+        for (const std::size_t count :
+             {1ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul, 100ul, 1000ul})
+            for (int trial = 0; trial < 4; ++trial) {
+                const auto qlut = quantizeLut(m, randomLut(rng, m));
+                const PackedList l =
+                    makeList(rng, m, randomCodes(rng, m, count), 0);
+                for (const std::size_t k :
+                     {1ul, 10ul, count, count + 5}) {
+                    TopK want(k), got(k);
+                    pushEveryLane(m, l, qlut, want);
+                    scanList(m, l, qlut, sc, got);
+                    expectSameHits(got, want,
+                                   "m " + std::to_string(m) + " count " +
+                                       std::to_string(count) + " k " +
+                                       std::to_string(k));
+                }
+            }
+}
+
+TEST(FastScanListScan, PaddingLanesNeverEnter)
+{
+    // Code 0 is every row's best entry, but real lanes use codes 1..15:
+    // only the zero-coded padding lanes of the tail block score lowest.
+    Rng rng(42);
+    const std::size_t m = 4;
+    auto lut = randomLut(rng, m);
+    for (std::size_t s = 0; s < m; ++s)
+        lut[s * 16] = -1.f;
+    const auto qlut = quantizeLut(m, lut);
+    SearchScratch sc;
+    for (const std::size_t count : {1ul, 17ul, 33ul, 40ul, 63ul}) {
+        auto codes = randomCodes(rng, m, count);
+        for (auto &c : codes)
+            c = static_cast<std::uint8_t>(1 + c % 15);
+        const PackedList l = makeList(rng, m, codes, 0);
+        for (const std::size_t k : {1ul, 3ul}) {
+            TopK want(k), got(k);
+            pushEveryLane(m, l, qlut, want);
+            scanList(m, l, qlut, sc, got);
+            expectSameHits(got, want, "count " + std::to_string(count));
+        }
+    }
+}
+
+TEST(FastScanListScan, AllTiesAreDecidedById)
+{
+    Rng rng(43);
+    const std::size_t m = 4, n = 100, k = 10;
+    const auto qlut = quantizeLut(m, randomLut(rng, m));
+    const std::vector<std::uint8_t> codes(n * m, 5);
+    const PackedList l = makeList(rng, m, codes, 1000);
+    TopK want(k), got(k);
+    SearchScratch sc;
+    pushEveryLane(m, l, qlut, want);
+    scanList(m, l, qlut, sc, got);
+    expectSameHits(got, want, "all ties");
+    const auto hits = got.sortedHits();
+    for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(hits[j].id, static_cast<idx_t>(1000 + j));
+        EXPECT_EQ(hits[j].dist, hits[0].dist);
+    }
+
+    // The constant-row LUT maps every lane to score 0: ties again.
+    const auto flat = quantizeLut(m, std::vector<float>(m * 16, 0.25f));
+    const PackedList r = makeList(rng, m, randomCodes(rng, m, n), 0);
+    TopK want_flat(k), got_flat(k);
+    pushEveryLane(m, r, flat, want_flat);
+    scanList(m, r, flat, sc, got_flat);
+    expectSameHits(got_flat, want_flat, "unit-step LUT");
+}
+
+TEST(FastScanListScan, CarriesAFullTopKAcrossLists)
+{
+    // searchClusters carries one TopK over every probed list, so later
+    // lists start with a full heap and an already-tight bound.
+    Rng rng(44);
+    const std::size_t m = 8;
+    const auto qlut = quantizeLut(m, randomLut(rng, m));
+    std::vector<PackedList> lists;
+    idx_t next = 0;
+    for (const std::size_t n : {40ul, 7ul, 300ul, 1ul, 64ul, 129ul}) {
+        lists.push_back(makeList(rng, m, randomCodes(rng, m, n), next));
+        next += static_cast<idx_t>(n);
+    }
+    SearchScratch sc;
+    for (const std::size_t k : {1ul, 5ul, 20ul, 100ul}) {
+        TopK want(k), got(k);
+        for (std::size_t li = 0; li < lists.size(); ++li) {
+            pushEveryLane(m, lists[li], qlut, want);
+            scanList(m, lists[li], qlut, sc, got);
+            expectSameHits(got, want,
+                           "k " + std::to_string(k) + " after list " +
+                               std::to_string(li));
+        }
+    }
+
+    // A heap filled elsewhere, whose k-th best lies below every lane
+    // (bound -1), inside the score range, or above every lane.
+    const float inside = qlut.distance(300);
+    for (const float prior : {qlut.bias - 1.f, inside, 1e30f}) {
+        TopK want(10), got(10);
+        for (std::size_t j = 0; j < 10; ++j) {
+            want.push(static_cast<idx_t>(100000 + j), prior);
+            got.push(static_cast<idx_t>(100000 + j), prior);
+        }
+        for (const PackedList &l : lists) {
+            pushEveryLane(m, l, qlut, want);
+            scanList(m, l, qlut, sc, got);
+        }
+        expectSameHits(got, want, "prefilled at " + std::to_string(prior));
+    }
 }
 
 } // namespace

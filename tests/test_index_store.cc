@@ -215,6 +215,29 @@ TEST_F(StoreFixture, RejectsFutureFormatVersion)
     }
 }
 
+TEST_F(StoreFixture, RejectsSubQuantizerCountsWhoseScoresOverflow)
+{
+    // The header's u64 m sits at offset 16; 300 > kMaxFastScanSub. The
+    // header check fires before any section is parsed.
+    patchU32(path_, 16, 300);
+    try {
+        IndexStore::inspect(path_);
+        FAIL() << "m = 300 not rejected";
+    } catch (const vs::IoError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      std::to_string(vs::kMaxFastScanSub)),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(IndexStore::load(path_), vs::IoError);
+    EXPECT_THROW(MmapColdTier{path_}, vs::IoError);
+
+    // nbits (offset 24) must be 4.
+    patchU32(path_, 16, static_cast<std::uint32_t>(m_));
+    patchU32(path_, 24, 8);
+    EXPECT_THROW(IndexStore::inspect(path_), vs::IoError);
+}
+
 TEST_F(StoreFixture, RejectsTruncatedFile)
 {
     fs::resize_file(path_, fs::file_size(path_) - 100);

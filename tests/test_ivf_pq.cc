@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -291,6 +292,30 @@ TEST_F(IvfPqFixture, FastScanFromPartsRebuildsBitIdentical)
             EXPECT_EQ(a[j].dist, b[j].dist);
         }
     }
+}
+
+TEST(IvfPqFastScan, RejectsSubQuantizerCountsWhoseScoresOverflow)
+{
+    // m uint8 LUT entries sum into a uint16 lane: m = 260 could wrap.
+    const auto wide = [](std::size_t d) {
+        return std::make_shared<FlatCoarseQuantizer>(
+            std::vector<float>(d, 0.f), 1, d);
+    };
+    EXPECT_THROW(IvfPqFastScanIndex(wide(520), 260), std::runtime_error);
+    EXPECT_NO_THROW(IvfPqFastScanIndex(wide(2 * kMaxFastScanSub),
+                                       kMaxFastScanSub));
+}
+
+TEST_F(IvfPqFixture, FastScanFromPartsRejectsEightBitPq)
+{
+    const std::size_t m = 8, ksub = 256;
+    auto pq = ProductQuantizer::fromCodebooks(
+        d_, m, 8, std::vector<float>(m * ksub * (d_ / m), 0.f));
+    EXPECT_THROW(IvfPqFastScanIndex::fromParts(
+                     cq_, std::move(pq),
+                     std::vector<std::vector<idx_t>>(nlist_),
+                     std::vector<std::vector<std::uint8_t>>(nlist_)),
+                 std::runtime_error);
 }
 
 } // namespace
