@@ -7,6 +7,8 @@
  * the same codes.
  */
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -126,17 +128,26 @@ BENCHMARK(BM_FastScan);
 /**
  * The per-list scan plus top-k (vs::scanPackedList) at k = 10 over the
  * list BM_FastScan scores; the gap to BM_FastScan is the top-k cost.
+ * With ties:1 every lane carries the first lane's code and the ids are
+ * shuffled, as in the collapsed clusters of a heavy-skew corpus: every
+ * lane ties the k-th best and is settled by its id.
  */
 void
 BM_ListScanTopK(benchmark::State &state)
 {
     const std::size_t n = 8192, m = 8;
+    const bool ties = state.range(0) != 0;
     PqSetup s(m, 4, n);
+    if (ties)
+        for (std::size_t i = 1; i < n; ++i)
+            std::copy_n(s.codes.begin(), m, s.codes.begin() + i * m);
     const auto packed = packPq4Codes(m, s.codes, n);
     const auto qlut = quantizeLut(m, s.lut);
     std::vector<idx_t> ids(n);
     for (std::size_t i = 0; i < n; ++i)
         ids[i] = static_cast<idx_t>(i);
+    if (ties)
+        Rng(6).shuffle(ids);
     SearchScratch scratch;
     for (auto _ : state) {
         TopK topk(10);
@@ -148,7 +159,7 @@ BM_ListScanTopK(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * n));
     state.SetLabel(fastScanHasSimd() ? "avx2" : "scalar");
 }
-BENCHMARK(BM_ListScanTopK);
+BENCHMARK(BM_ListScanTopK)->ArgName("ties")->Arg(0)->Arg(1);
 
 void
 BM_FastScanScalarReference(benchmark::State &state)

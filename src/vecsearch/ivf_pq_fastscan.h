@@ -34,21 +34,37 @@ struct SearchScratch
 
 /**
  * Score one packed inverted list with the fast-scan kernel and push the
- * lanes that can still enter @p topk. This is the one scan+top-k loop
- * behind every fast-scan list reader — IvfPqFastScanIndex and the
- * storage layer's memory-mapped cold tier — so their distances are
+ * lanes that enter @p topk. This is the one scan+top-k loop behind
+ * every fast-scan list reader — IvfPqFastScanIndex and the storage
+ * layer's memory-mapped cold tier — so their distances are
  * bit-identical by construction. @p ids holds the list's @p count
  * vector ids in scan order and @p packed its whole fast-scan blocks;
  * sc.scores grows as needed.
  *
- * Lanes are pushed until @p topk is full. After that, the k-th best
- * distance becomes a score bound (QuantizedLut::scoreBound), and only
- * lanes scoring at most the bound are dequantized and pushed. Each
- * 16-lane group is tested with one SIMD compare, and the bound is
- * refreshed after every push. The filter is exact: a lane above the
- * bound maps to a distance above the k-th best, so TopK would reject
- * it anyway. The hits therefore equal those of pushing every lane, bit
- * for bit.
+ * Lanes are pushed until @p topk is full. After that, the k-th best hit
+ * (wd, wid) splits the scores into three bands:
+ *  - up to below = scoreBound(nextafter(wd, -inf)): distance < wd;
+ *  - in (below, bound = scoreBound(wd)]: distance == wd;
+ *  - above bound: distance > wd.
+ * Each 16-lane group is tested with SIMD compares. A lane passes if it
+ * scores at most below, or lies in the tie band with an id below wid
+ * (four 64-bit compares per group). Every passing lane is confirmed by
+ * TopK::accepts, and only accepted lanes are pushed and refresh bound,
+ * below and wid.
+ *
+ * The filter is exact. QuantizedLut::distance is monotone in the score,
+ * so the bands pass precisely the lanes TopK keeps once full: d < wd,
+ * or d == wd and id < wid. (A LUT whose map is not monotone gets both
+ * bounds 65535, and accepts() decides every lane.) accepts() also
+ * settles lanes masked before a push tightened the k-th best. The hits
+ * therefore equal those of pushing every lane, bit for bit. A lane
+ * scoring bound is not always a tie: when wd lies off the score grid
+ * (a heap filled from another list or LUT), distance(bound) < wd, and
+ * the lane enters whatever its id.
+ *
+ * Scores are padded to whole blocks but @p ids is not: the id test of a
+ * partial last group reads only the ids before @p count, which in the
+ * cold tier lie inside the mapped file.
  */
 void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
                     const std::uint8_t *packed, const QuantizedLut &qlut,

@@ -1,69 +1,34 @@
 #include "vecsearch/topk.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace vlr::vs
 {
 
-namespace
-{
-
-bool
-heapLess(const SearchHit &a, const SearchHit &b)
-{
-    // Max-heap on distance; ties broken by id so ordering is total.
-    if (a.dist != b.dist)
-        return a.dist < b.dist;
-    return a.id < b.id;
-}
-
-bool
-sortedLess(const SearchHit &a, const SearchHit &b)
-{
-    if (a.dist != b.dist)
-        return a.dist < b.dist;
-    return a.id < b.id;
-}
-
-} // namespace
-
 TopK::TopK(std::size_t k)
     : k_(k)
 {
-    assert(k > 0);
     heap_.reserve(k);
 }
 
 void
-TopK::push(idx_t id, float dist)
+TopK::insert(const SearchHit &hit)
 {
     if (heap_.size() < k_) {
-        heap_.push_back({id, dist});
-        std::push_heap(heap_.begin(), heap_.end(), heapLess);
+        heap_.push_back(hit);
+        std::push_heap(heap_.begin(), heap_.end(), hitLess);
         return;
     }
-    const SearchHit cand{id, dist};
-    if (!heapLess(cand, heap_.front()))
-        return;
-    std::pop_heap(heap_.begin(), heap_.end(), heapLess);
-    heap_.back() = cand;
-    std::push_heap(heap_.begin(), heap_.end(), heapLess);
-}
-
-float
-TopK::worst() const
-{
-    if (heap_.size() < k_)
-        return std::numeric_limits<float>::max();
-    return heap_.front().dist;
+    std::pop_heap(heap_.begin(), heap_.end(), hitLess);
+    heap_.back() = hit;
+    std::push_heap(heap_.begin(), heap_.end(), hitLess);
 }
 
 std::vector<SearchHit>
 TopK::sortedHits() const
 {
     std::vector<SearchHit> out = heap_;
-    std::sort(out.begin(), out.end(), sortedLess);
+    std::sort(out.begin(), out.end(), hitLess);
     return out;
 }
 

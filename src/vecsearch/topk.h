@@ -28,20 +28,67 @@ struct SearchHit
     }
 };
 
+/** The total order on hits: smaller distance first, ties by smaller id. */
+inline bool
+hitLess(const SearchHit &a, const SearchHit &b)
+{
+    return a.dist < b.dist || (a.dist == b.dist && a.id < b.id);
+}
+
 /**
  * Fixed-capacity max-heap keeping the k smallest distances seen.
  * push() is O(log k) once full; O(1) rejection for distances worse than
- * the current kth best.
+ * the current kth best. A zero-capacity TopK keeps nothing: it is
+ * always full, accepts no hit and returns no hits.
  */
 class TopK
 {
   public:
     explicit TopK(std::size_t k);
 
-    void push(idx_t id, float dist);
+    /**
+     * True when push(id, dist) would keep the hit: the heap is not yet
+     * full, or (dist, id) orders before the k-th best under hitLess.
+     * push() applies this same test.
+     */
+    bool
+    accepts(idx_t id, float dist) const
+    {
+        if (heap_.size() < k_)
+            return true;
+        return k_ > 0 && hitLess({id, dist}, heap_.front());
+    }
 
-    /** Largest (worst) distance currently kept, or +inf if not full. */
-    float worst() const;
+    /** Keep the hit if accepts() it; rejection is inline. */
+    void
+    push(idx_t id, float dist)
+    {
+        if (accepts(id, dist))
+            insert({id, dist});
+    }
+
+    /**
+     * Largest (worst) distance currently kept: float max until full,
+     * and -inf at zero capacity, where no distance can enter.
+     */
+    float
+    worst() const
+    {
+        if (k_ == 0)
+            return -std::numeric_limits<float>::infinity();
+        if (heap_.size() < k_)
+            return std::numeric_limits<float>::max();
+        return heap_.front().dist;
+    }
+
+    /** Id of the worst kept hit once full, else kInvalidIdx. */
+    idx_t
+    worstId() const
+    {
+        if (k_ == 0 || heap_.size() < k_)
+            return kInvalidIdx;
+        return heap_.front().id;
+    }
 
     bool full() const { return heap_.size() >= k_; }
     std::size_t size() const { return heap_.size(); }
@@ -51,8 +98,11 @@ class TopK
     std::vector<SearchHit> sortedHits() const;
 
   private:
+    /** Add an accepted hit, evicting the k-th best once full. */
+    void insert(const SearchHit &hit);
+
     std::size_t k_;
-    std::vector<SearchHit> heap_; // max-heap on dist
+    std::vector<SearchHit> heap_; // max-heap under hitLess
 };
 
 /** Merge several sorted hit lists into the k best overall. */

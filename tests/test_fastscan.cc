@@ -373,14 +373,36 @@ makeList(Rng &rng, std::size_t m, const std::vector<std::uint8_t> &codes,
     return l;
 }
 
+/** Kernel scores of a list's lanes, padding lanes dropped. */
+std::vector<std::uint16_t>
+listScores(std::size_t m, const PackedList &l, const QuantizedLut &qlut)
+{
+    const std::size_t nblocks = l.packed.size() / packedBlockBytes(m);
+    std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
+    scanPq4Blocks(m, l.packed.data(), nblocks, qlut, scores.data());
+    scores.resize(l.ids.size());
+    return scores;
+}
+
+/**
+ * @p q's table under a coarse map: float spacing at 1e6 is 0.0625, so
+ * ~62 consecutive scores share one distance, and a tie with the k-th
+ * best spans a run of scores.
+ */
+QuantizedLut
+coarseMap(const QuantizedLut &q)
+{
+    QuantizedLut c = affineLut(1e6f, 1e-3f);
+    c.table = q.table;
+    return c;
+}
+
 /** The loop scanPackedList replaced: dequantize and push every lane. */
 void
 pushEveryLane(std::size_t m, const PackedList &l, const QuantizedLut &qlut,
               TopK &topk)
 {
-    const std::size_t nblocks = l.packed.size() / packedBlockBytes(m);
-    std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
-    scanPq4Blocks(m, l.packed.data(), nblocks, qlut, scores.data());
+    const auto scores = listScores(m, l, qlut);
     for (std::size_t i = 0; i < l.ids.size(); ++i)
         topk.push(l.ids[i],
                   qlut.bias + qlut.step * static_cast<float>(scores[i]));
@@ -417,19 +439,22 @@ TEST(FastScanListScan, MatchesPushEveryLane)
         for (const std::size_t count :
              {1ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul, 100ul, 1000ul})
             for (int trial = 0; trial < 4; ++trial) {
-                const auto qlut = quantizeLut(m, randomLut(rng, m));
+                const auto fine = quantizeLut(m, randomLut(rng, m));
                 const PackedList l =
                     makeList(rng, m, randomCodes(rng, m, count), 0);
-                for (const std::size_t k :
-                     {1ul, 10ul, count, count + 5}) {
-                    TopK want(k), got(k);
-                    pushEveryLane(m, l, qlut, want);
-                    scanList(m, l, qlut, sc, got);
-                    expectSameHits(got, want,
-                                   "m " + std::to_string(m) + " count " +
-                                       std::to_string(count) + " k " +
-                                       std::to_string(k));
-                }
+                for (const QuantizedLut &qlut : {fine, coarseMap(fine)})
+                    for (const std::size_t k :
+                         {1ul, 10ul, count, count + 5}) {
+                        TopK want(k), got(k);
+                        pushEveryLane(m, l, qlut, want);
+                        scanList(m, l, qlut, sc, got);
+                        expectSameHits(
+                            got, want,
+                            "m " + std::to_string(m) + " count " +
+                                std::to_string(count) + " k " +
+                                std::to_string(k) + " bias " +
+                                std::to_string(qlut.bias));
+                    }
             }
 }
 
@@ -463,17 +488,23 @@ TEST(FastScanListScan, AllTiesAreDecidedById)
     Rng rng(43);
     const std::size_t m = 4, n = 100, k = 10;
     const auto qlut = quantizeLut(m, randomLut(rng, m));
-    const std::vector<std::uint8_t> codes(n * m, 5);
-    const PackedList l = makeList(rng, m, codes, 1000);
-    TopK want(k), got(k);
     SearchScratch sc;
-    pushEveryLane(m, l, qlut, want);
-    scanList(m, l, qlut, sc, got);
-    expectSameHits(got, want, "all ties");
-    const auto hits = got.sortedHits();
-    for (std::size_t j = 0; j < k; ++j) {
-        EXPECT_EQ(hits[j].id, static_cast<idx_t>(1000 + j));
-        EXPECT_EQ(hits[j].dist, hits[0].dist);
+    // Every count but 100 ends in a partial group of 16 lanes, whose
+    // ids may be read only up to the count: makeList allocates exactly
+    // that many, so ASan sees any overrun.
+    for (const std::size_t count : {17ul, 33ul, n, 1007ul}) {
+        const std::vector<std::uint8_t> codes(count * m, 5);
+        const PackedList l = makeList(rng, m, codes, 1000);
+        TopK want(k), got(k);
+        pushEveryLane(m, l, qlut, want);
+        scanList(m, l, qlut, sc, got);
+        const std::string what = "all ties, count " + std::to_string(count);
+        expectSameHits(got, want, what);
+        const auto hits = got.sortedHits();
+        for (std::size_t j = 0; j < k; ++j) {
+            EXPECT_EQ(hits[j].id, static_cast<idx_t>(1000 + j)) << what;
+            EXPECT_EQ(hits[j].dist, hits[0].dist) << what;
+        }
     }
 
     // The constant-row LUT maps every lane to score 0: ties again.
@@ -491,39 +522,71 @@ TEST(FastScanListScan, CarriesAFullTopKAcrossLists)
     // lists start with a full heap and an already-tight bound.
     Rng rng(44);
     const std::size_t m = 8;
-    const auto qlut = quantizeLut(m, randomLut(rng, m));
+    const auto fine = quantizeLut(m, randomLut(rng, m));
     std::vector<PackedList> lists;
-    idx_t next = 0;
+    // List ids start above those of the off-grid prefill below.
+    idx_t next = 10;
     for (const std::size_t n : {40ul, 7ul, 300ul, 1ul, 64ul, 129ul}) {
         lists.push_back(makeList(rng, m, randomCodes(rng, m, n), next));
         next += static_cast<idx_t>(n);
     }
+    const auto prefill = [](TopK &topk, idx_t first, float dist) {
+        for (std::size_t j = 0; j < topk.capacity(); ++j)
+            topk.push(first + static_cast<idx_t>(j), dist);
+    };
     SearchScratch sc;
-    for (const std::size_t k : {1ul, 5ul, 20ul, 100ul}) {
-        TopK want(k), got(k);
-        for (std::size_t li = 0; li < lists.size(); ++li) {
-            pushEveryLane(m, lists[li], qlut, want);
-            scanList(m, lists[li], qlut, sc, got);
+    for (const QuantizedLut &qlut : {fine, coarseMap(fine)}) {
+        const std::string map = "bias " + std::to_string(qlut.bias);
+        for (const std::size_t k : {1ul, 5ul, 20ul, 100ul}) {
+            TopK want(k), got(k);
+            for (std::size_t li = 0; li < lists.size(); ++li) {
+                pushEveryLane(m, lists[li], qlut, want);
+                scanList(m, lists[li], qlut, sc, got);
+                expectSameHits(got, want,
+                               map + " k " + std::to_string(k) +
+                                   " after list " + std::to_string(li));
+            }
+        }
+
+        // A heap filled elsewhere, whose k-th best lies below every
+        // lane (bound -1), inside the score range, or above every lane.
+        const float inside = qlut.distance(300);
+        for (const float prior : {qlut.bias - 1.f, inside, 1e30f}) {
+            TopK want(10), got(10);
+            prefill(want, 100000, prior);
+            prefill(got, 100000, prior);
+            for (const PackedList &l : lists) {
+                pushEveryLane(m, l, qlut, want);
+                scanList(m, l, qlut, sc, got);
+            }
             expectSameHits(got, want,
-                           "k " + std::to_string(k) + " after list " +
-                               std::to_string(li));
+                           map + " prefilled at " + std::to_string(prior));
         }
     }
 
-    // A heap filled elsewhere, whose k-th best lies below every lane
-    // (bound -1), inside the score range, or above every lane.
-    const float inside = qlut.distance(300);
-    for (const float prior : {qlut.bias - 1.f, inside, 1e30f}) {
-        TopK want(10), got(10);
-        for (std::size_t j = 0; j < 10; ++j) {
-            want.push(static_cast<idx_t>(100000 + j), prior);
-            got.push(static_cast<idx_t>(100000 + j), prior);
+    // A k-th best off the score grid, strictly between the distances of
+    // the first list's lowest score s and of s + 1, held by ids below
+    // every list id. Lanes scoring s are strictly closer and must enter
+    // whatever their id; a filter taking "score == bound" for a tie
+    // would drop them.
+    const auto scores = listScores(m, lists[0], fine);
+    const auto s = *std::min_element(scores.begin(), scores.end());
+    const float lo = fine.distance(s);
+    const float hi = fine.distance(static_cast<std::uint16_t>(s + 1));
+    const float off = lo + 0.5f * (hi - lo);
+    ASSERT_LT(lo, off);
+    ASSERT_LT(off, hi);
+    for (const std::size_t k : {1ul, 10ul}) {
+        TopK want(k), got(k);
+        prefill(want, 0, off);
+        prefill(got, 0, off);
+        for (std::size_t li = 0; li < lists.size(); ++li) {
+            pushEveryLane(m, lists[li], fine, want);
+            scanList(m, lists[li], fine, sc, got);
+            expectSameHits(got, want,
+                           "off-grid k " + std::to_string(k) +
+                               " after list " + std::to_string(li));
         }
-        for (const PackedList &l : lists) {
-            pushEveryLane(m, l, qlut, want);
-            scanList(m, l, qlut, sc, got);
-        }
-        expectSameHits(got, want, "prefilled at " + std::to_string(prior));
     }
 }
 

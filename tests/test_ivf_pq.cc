@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -225,6 +226,22 @@ TEST_F(IvfPqFixture, FastScanSearchClustersConsistent)
     ASSERT_EQ(full.size(), subset.size());
     for (std::size_t j = 0; j < full.size(); ++j)
         EXPECT_EQ(full[j].id, subset[j].id);
+}
+
+TEST_F(IvfPqFixture, FastScanZeroKOrNprobeReturnsNothing)
+{
+    IvfPqFastScanIndex fast(cq_, 8);
+    fast.train(data_, n_);
+    fast.add(data_, n_);
+    const float *q = queries_.data();
+    EXPECT_TRUE(fast.quantizer().probe(q, 0).clusters.empty());
+    EXPECT_TRUE(fast.search(q, 0, 4).empty());
+    EXPECT_TRUE(fast.search(q, 10, 0).empty());
+    EXPECT_TRUE(
+        fast.searchClusters(q, 0, cq_->probe(q, 4).clusters).empty());
+    for (const auto &hits :
+         fast.searchBatch(std::span(queries_).first(4 * d_), 4, 0, 8))
+        EXPECT_TRUE(hits.empty());
 }
 
 TEST_F(IvfPqFixture, FastScanIncrementalAddMatchesOneShot)

@@ -3,9 +3,10 @@
  * Tests for the tiered hot/cold index runtime: exact result parity with
  * single-tier serial search for any coverage and shard count,
  * pruned-routing edge cases (fully hot / fully cold / split probe
- * lists, rho = 0 and rho = 1), pluggable shard backends (throttled
- * double under concurrent repartition), live access counting and its
- * drain consistency contract, and concurrent repartition.
+ * lists, rho = 0 and rho = 1), tie-breaking when PQ4 codes collapse,
+ * pluggable shard backends (throttled double under concurrent
+ * repartition), live access counting and its drain consistency
+ * contract, and concurrent repartition.
  */
 
 #include <algorithm>
@@ -32,16 +33,32 @@ struct TieredFixture : public ::testing::Test
     SetUp() override
     {
         Rng rng(42);
-        std::vector<float> centers(ncenters_ * d_);
-        for (auto &x : centers)
+        centers_.resize(ncenters_ * d_);
+        for (auto &x : centers_)
             x = static_cast<float>(rng.uniform(-1.0, 1.0));
+        buildIndex(rng, 0.15);
+
+        queries_.resize(nq_ * d_);
+        for (std::size_t i = 0; i < nq_; ++i) {
+            const std::size_t c = rng.uniformU64(ncenters_);
+            for (std::size_t j = 0; j < d_; ++j)
+                queries_[i * d_ + j] =
+                    centers_[c * d_ + j] +
+                    static_cast<float>(rng.gaussian(0.0, 0.2));
+        }
+    }
+
+    /** Corpus of n_ points around the centers, and its index. */
+    void
+    buildIndex(Rng &rng, double sigma)
+    {
         data_.resize(n_ * d_);
         for (std::size_t i = 0; i < n_; ++i) {
             const std::size_t c = rng.uniformU64(ncenters_);
             for (std::size_t j = 0; j < d_; ++j)
                 data_[i * d_ + j] =
-                    centers[c * d_ + j] +
-                    static_cast<float>(rng.gaussian(0.0, 0.15));
+                    centers_[c * d_ + j] +
+                    static_cast<float>(rng.gaussian(0.0, sigma));
         }
         vs::KMeansParams p;
         p.k = nlist_;
@@ -51,15 +68,6 @@ struct TieredFixture : public ::testing::Test
         index_ = std::make_unique<vs::IvfPqFastScanIndex>(cq_, m_);
         index_->train(data_, n_);
         index_->add(data_, n_);
-
-        queries_.resize(nq_ * d_);
-        for (std::size_t i = 0; i < nq_; ++i) {
-            const std::size_t c = rng.uniformU64(ncenters_);
-            for (std::size_t j = 0; j < d_; ++j)
-                queries_[i * d_ + j] =
-                    centers[c * d_ + j] +
-                    static_cast<float>(rng.gaussian(0.0, 0.2));
-        }
     }
 
     /** Top-`count` clusters by descending list size (deterministic). */
@@ -106,6 +114,7 @@ struct TieredFixture : public ::testing::Test
     const std::size_t nq_ = 48;
     const std::size_t k_ = 10;
     const std::size_t nprobe_ = 8;
+    std::vector<float> centers_;
     std::vector<float> data_;
     std::vector<float> queries_;
     std::shared_ptr<vs::FlatCoarseQuantizer> cq_;
@@ -441,6 +450,29 @@ TEST_F(TieredFixture, MultiShardParityAcrossShardCountsAndCoverages)
             for (const std::size_t p : s.shardProbeCounts)
                 shard_probes += p;
             EXPECT_EQ(shard_probes, s.hotProbes);
+        }
+    }
+}
+
+TEST_F(TieredFixture, ParityWhenPq4CodesCollapse)
+{
+    // Points within 1e-4 of the centers share one PQ4 code per center,
+    // so nearly every scanned lane ties the k-th best and ids alone
+    // decide the top-k, inside each shard and in the merge across them.
+    Rng rng(43);
+    buildIndex(rng, 1e-4);
+    const auto hits = index_->search(queries_.data(), k_, nprobe_);
+    ASSERT_EQ(hits.size(), k_);
+    ASSERT_EQ(hits.front().dist, hits.back().dist);
+    for (const std::size_t shards : {1ul, 2ul, 3ul}) {
+        for (const double rho : {0.25, 0.5, 1.0}) {
+            const auto count = static_cast<std::size_t>(
+                rho * static_cast<double>(nlist_) + 0.5);
+            TieredOptions opts;
+            opts.numShards = shards;
+            TieredIndex tiered(*index_, topBySize(count), opts);
+            expectParity(tiered, k_, nprobe_);
+            EXPECT_TRUE(tiered.search(queries_.data(), 0, nprobe_).empty());
         }
     }
 }

@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +117,53 @@ TEST(TopK, AgreesWithFullSort)
         EXPECT_EQ(hits[i], all[i]) << "rank " << i;
 }
 
+TEST(TopK, WorstIdIsTheLastHitUnderTheTieOrder)
+{
+    TopK t(2);
+    EXPECT_EQ(t.worstId(), kInvalidIdx);
+    t.push(7, 1.f);
+    t.push(3, 1.f);
+    EXPECT_EQ(t.worstId(), 7);
+    EXPECT_TRUE(t.accepts(4, 1.f));
+    EXPECT_FALSE(t.accepts(8, 1.f));
+    EXPECT_TRUE(t.accepts(9, 0.5f));
+    t.push(5, 1.f);
+    EXPECT_EQ(t.worstId(), 5);
+    EXPECT_FLOAT_EQ(t.worst(), 1.f);
+}
+
+TEST(TopK, AcceptsIsExactlyWhatPushKeeps)
+{
+    // A small distance domain makes most pushes tie the k-th best.
+    Rng rng(9);
+    for (const std::size_t k : {1ul, 3ul, 10ul}) {
+        TopK t(k);
+        for (std::size_t i = 0; i < 400; ++i) {
+            const auto id = static_cast<idx_t>(rng.uniformU64(1000));
+            const auto d = static_cast<float>(rng.uniformU64(4));
+            const bool accepted = t.accepts(id, d);
+            const auto before = t.sortedHits();
+            t.push(id, d);
+            EXPECT_EQ(accepted, t.sortedHits() != before)
+                << "k " << k << " push " << i;
+        }
+    }
+}
+
+TEST(TopK, ZeroCapacityKeepsNothing)
+{
+    TopK t(0);
+    EXPECT_TRUE(t.full());
+    EXPECT_EQ(t.capacity(), 0u);
+    EXPECT_FALSE(t.accepts(1, -1e30f));
+    t.push(1, 0.f);
+    t.push(2, -1e30f);
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.worst(), -std::numeric_limits<float>::infinity());
+    EXPECT_EQ(t.worstId(), kInvalidIdx);
+    EXPECT_TRUE(t.sortedHits().empty());
+}
+
 // --- mergeHitLists ----------------------------------------------------
 
 TEST(MergeHits, MergesDisjointLists)
@@ -153,6 +201,12 @@ TEST(MergeHits, TruncatesToK)
     ASSERT_EQ(merged.size(), 2u);
     EXPECT_EQ(merged[0].id, 1);
     EXPECT_EQ(merged[1].id, 4);
+}
+
+TEST(MergeHits, ZeroKMergesToNothing)
+{
+    std::vector<std::vector<SearchHit>> lists = {{{1, 1.f}}, {{2, 0.f}}};
+    EXPECT_TRUE(mergeHitLists(lists, 0).empty());
 }
 
 TEST(MergeHits, EquivalentToTopKOverUnion)
