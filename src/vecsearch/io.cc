@@ -85,6 +85,32 @@ expectMagic(std::istream &is, std::uint32_t magic, const char *what)
         throw IoError(std::string("bad magic for ") + what);
 }
 
+/**
+ * a * b for two header-declared counts, checked by division first so a
+ * wrapped product cannot pass as a small one.
+ */
+std::uint64_t
+elemCount(std::uint64_t a, std::uint64_t b, const char *what)
+{
+    if (a > kMaxElems || b > kMaxElems || (b != 0 && a > kMaxElems / b))
+        throw IoError(std::string("implausible element count in ") + what);
+    return a * b;
+}
+
+/** The metric word: 0 is L2, 1 inner product, anything else corrupt. */
+Metric
+readMetric(std::istream &is, const char *what)
+{
+    switch (readU32(is)) {
+    case 0:
+        return Metric::L2;
+    case 1:
+        return Metric::InnerProduct;
+    default:
+        throw IoError(std::string("unknown metric word in ") + what);
+    }
+}
+
 std::size_t
 listPackedBytes(std::uint64_t count, std::size_t m)
 {
@@ -170,7 +196,9 @@ loadPq(std::istream &is)
     if (m == 0 || dim == 0 || dim % m != 0 || nbits == 0 || nbits > 8)
         throw IoError("loadPq: invalid dimensions");
     const std::uint64_t ksub = std::uint64_t{1} << nbits;
-    auto codebooks = readFloats(is, m * ksub * (dim / m), "PQ codebooks");
+    // m * ksub * (dim / m) codebook floats, which is ksub * dim.
+    auto codebooks = readFloats(is, elemCount(ksub, dim, "PQ codebooks"),
+                                "PQ codebooks");
     return ProductQuantizer::fromCodebooks(
         static_cast<std::size_t>(dim), static_cast<std::size_t>(m),
         static_cast<std::size_t>(nbits), std::move(codebooks));
@@ -193,14 +221,14 @@ loadFlatIndex(std::istream &is)
 {
     expectMagic(is, kFlatMagic, "FlatIndex");
     const std::uint64_t dim = readU64(is);
-    const Metric metric =
-        readU32(is) == 0 ? Metric::L2 : Metric::InnerProduct;
+    const Metric metric = readMetric(is, "FlatIndex");
     const std::uint64_t n = readU64(is);
     if (dim == 0)
         throw IoError("loadFlatIndex: zero dimension");
+    const std::uint64_t count = elemCount(n, dim, "flat vectors");
     FlatIndex index(static_cast<std::size_t>(dim), metric);
     if (n > 0) {
-        const auto data = readFloats(is, n * dim, "flat vectors");
+        const auto data = readFloats(is, count, "flat vectors");
         index.add(data, static_cast<std::size_t>(n));
     }
     return index;
@@ -224,11 +252,11 @@ loadCoarseQuantizer(std::istream &is)
     expectMagic(is, kCqMagic, "FlatCoarseQuantizer");
     const std::uint64_t nlist = readU64(is);
     const std::uint64_t dim = readU64(is);
-    const Metric metric =
-        readU32(is) == 0 ? Metric::L2 : Metric::InnerProduct;
+    const Metric metric = readMetric(is, "FlatCoarseQuantizer");
     if (nlist == 0 || dim == 0)
         throw IoError("loadCoarseQuantizer: zero nlist or dimension");
-    auto centroids = readFloats(is, nlist * dim, "CQ centroids");
+    auto centroids = readFloats(is, elemCount(nlist, dim, "CQ centroids"),
+                                "CQ centroids");
     return std::make_shared<FlatCoarseQuantizer>(
         std::move(centroids), static_cast<std::size_t>(nlist),
         static_cast<std::size_t>(dim), metric);

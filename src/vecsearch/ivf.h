@@ -52,7 +52,28 @@ class CoarseQuantizer
     virtual const float *centroid(cluster_id_t c) const = 0;
 };
 
-/** Exhaustive coarse quantizer over the centroid matrix. */
+/**
+ * Exhaustive coarse quantizer over the centroid matrix.
+ *
+ * probe() scores every centroid with one distancesToMany() call, offers
+ * each 16-centroid group's nearest to a TopK of nprobe, then makes one
+ * pass over the other centroids: every one is pushed until the TopK is
+ * full, and after that only lanes passing a SIMD `d <= worst()`
+ * compare are. The probe list is bit-identical to pushing every
+ * centroid in index order:
+ *  - each centroid is offered at most once, and all are offered while
+ *    the TopK is not full;
+ *  - once full, worst() never rises, so a lane above it would be
+ *    rejected by push() in any visit order;
+ *  - without NaN, hitLess is a strict total order on (dist, id), so the
+ *    kept set and its sorted order do not depend on visit order.
+ *
+ * The filter must not start before the TopK is full: worst() is float
+ * max until then, and an +inf distance fails `d <= worst()`, so such
+ * a centroid would be dropped from a probe that needs it. A NaN
+ * distance passes no compare; the probe still returns min(nprobe,
+ * nlist) distinct clusters, but which ones is unspecified.
+ */
 class FlatCoarseQuantizer : public CoarseQuantizer
 {
   public:

@@ -35,7 +35,8 @@ float innerProductScalar(const float *a, const float *b, std::size_t d);
 
 /**
  * Distances from one query to n contiguous database vectors;
- * out[i] = comparableDistance(q, base + i*d).
+ * out[i] = comparableDistance(q, base + i*d), bit for bit. The AVX2
+ * build scores four rows per pass when d is a multiple of 8.
  */
 void distancesToMany(Metric m, const float *q, const float *base,
                      std::size_t n, std::size_t d, float *out);

@@ -4,7 +4,9 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +196,89 @@ TEST(Io, ErrorsAreRecoverableIoErrors)
         EXPECT_NE(std::string(e.what()).find("vecsearch io:"),
                   std::string::npos);
     }
+}
+
+// --- crafted headers ---------------------------------------------------
+
+/** @p words back to back in native byte order, as a loader reads them. */
+template <class... Words>
+std::string
+headerBytes(Words... words)
+{
+    std::string out;
+    (out.append(reinterpret_cast<const char *>(&words), sizeof(words)),
+     ...);
+    return out;
+}
+
+std::string
+savedCq(Metric metric = Metric::L2)
+{
+    std::stringstream buf;
+    saveCoarseQuantizer(
+        buf, FlatCoarseQuantizer(gaussianData(4, 2, 30), 4, 2, metric));
+    return buf.str();
+}
+
+std::string
+savedFlat()
+{
+    FlatIndex index(2);
+    index.add(gaussianData(3, 2, 31), 3);
+    std::stringstream buf;
+    saveFlatIndex(buf, index);
+    return buf.str();
+}
+
+constexpr std::uint64_t k2Pow32 = std::uint64_t{1} << 32;
+
+TEST(Io, CoarseQuantizerRejectsAWrappingShape)
+{
+    // nlist * dim = 2^64 wraps to 0: no payload would be read, the shape
+    // check would pass on 0 == 0, and centroid(c) would point nowhere.
+    std::stringstream crafted(savedCq().substr(0, 4) +
+                              headerBytes(k2Pow32, k2Pow32, std::uint32_t{0}));
+    EXPECT_THROW(loadCoarseQuantizer(crafted), IoError);
+}
+
+TEST(Io, FlatIndexRejectsAWrappingShape)
+{
+    std::stringstream crafted(savedFlat().substr(0, 4) +
+                              headerBytes(k2Pow32, std::uint32_t{0},
+                                          k2Pow32));
+    EXPECT_THROW(loadFlatIndex(crafted), IoError);
+}
+
+TEST(Io, PqRejectsAWrappingShape)
+{
+    // ksub * dim = 2^8 * 2^61 wraps to 0 with m = 1.
+    const auto data = gaussianData(300, 8, 32);
+    ProductQuantizer pq(8, 2, 4);
+    pq.train(data, 300);
+    std::stringstream buf;
+    savePq(buf, pq);
+    std::stringstream crafted(
+        buf.str().substr(0, 4) +
+        headerBytes(std::uint64_t{1} << 61, std::uint64_t{1},
+                    std::uint64_t{8}));
+    EXPECT_THROW(loadPq(crafted), IoError);
+}
+
+TEST(Io, UnknownMetricWordIsRejected)
+{
+    // The metric word follows magic, nlist and dim in a CQ, and magic
+    // and dim in a flat index; only 0 (L2) and 1 (inner product) exist.
+    std::string cq = savedCq();
+    std::string flat = savedFlat();
+    const std::string two = headerBytes(std::uint32_t{2});
+    cq.replace(20, 4, two);
+    flat.replace(12, 4, two);
+    std::stringstream cq_in(cq), flat_in(flat);
+    EXPECT_THROW(loadCoarseQuantizer(cq_in), IoError);
+    EXPECT_THROW(loadFlatIndex(flat_in), IoError);
+
+    std::stringstream ip(savedCq(Metric::InnerProduct));
+    EXPECT_EQ(loadCoarseQuantizer(ip)->metric(), Metric::InnerProduct);
 }
 
 /** Small trained fast-scan index for packed-lists round trips. */

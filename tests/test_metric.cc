@@ -4,7 +4,9 @@
  * semantics and batched distance computation.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,39 +77,41 @@ TEST(Metric, ComparableDistanceIpIsNegated)
         -innerProduct(a.data(), b.data(), 16));
 }
 
+/**
+ * distancesToMany equals comparableDistance bit for bit across row
+ * counts around the four-row step and dimensions with and without a
+ * tail past the last 8 lanes.
+ */
+void
+expectDistancesToManyExact(Metric m, std::uint64_t seed)
+{
+    for (const std::size_t n : {0, 1, 3, 4, 5, 8, 17, 1023}) {
+        for (const std::size_t d : {1, 4, 7, 8, 9, 20, 64, 65}) {
+            Rng rng(seed + 100 * n + d);
+            const auto q = randomVector(rng, d);
+            const auto base = randomVector(rng, n * d);
+            std::vector<float> out(n);
+            distancesToMany(m, q.data(), base.data(), n, d, out.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                const float want =
+                    comparableDistance(m, q.data(), base.data() + i * d, d);
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                          std::bit_cast<std::uint32_t>(want))
+                    << "n " << n << " d " << d << " row " << i << ": "
+                    << out[i] << " vs " << want;
+            }
+        }
+    }
+}
+
 TEST(Metric, DistancesToManyMatchesLoop)
 {
-    Rng rng(5);
-    const std::size_t d = 24, n = 17;
-    const auto q = randomVector(rng, d);
-    std::vector<float> base;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto v = randomVector(rng, d);
-        base.insert(base.end(), v.begin(), v.end());
-    }
-    std::vector<float> out(n);
-    distancesToMany(Metric::L2, q.data(), base.data(), n, d, out.data());
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(out[i], l2Sqr(q.data(), base.data() + i * d, d),
-                    1e-4f * (1.f + std::abs(out[i])));
+    expectDistancesToManyExact(Metric::L2, 5);
 }
 
 TEST(Metric, DistancesToManyInnerProduct)
 {
-    Rng rng(6);
-    const std::size_t d = 8, n = 5;
-    const auto q = randomVector(rng, d);
-    std::vector<float> base;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto v = randomVector(rng, d);
-        base.insert(base.end(), v.begin(), v.end());
-    }
-    std::vector<float> out(n);
-    distancesToMany(Metric::InnerProduct, q.data(), base.data(), n, d,
-                    out.data());
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(out[i],
-                    -innerProduct(q.data(), base.data() + i * d, d), 1e-4f);
+    expectDistancesToManyExact(Metric::InnerProduct, 6);
 }
 
 /**

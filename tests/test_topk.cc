@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,22 +100,36 @@ TEST(TopK, CapacityAndSizeAccessors)
 
 TEST(TopK, AgreesWithFullSort)
 {
+    // Ids arrive shuffled. With ties, four distinct distances leave the
+    // id to order almost every sift-down step.
     Rng rng(42);
-    const std::size_t n = 1000, k = 25;
-    std::vector<SearchHit> all(n);
-    TopK t(k);
-    for (std::size_t i = 0; i < n; ++i) {
-        const float d = static_cast<float>(rng.uniform());
-        all[i] = {static_cast<idx_t>(i), d};
-        t.push(static_cast<idx_t>(i), d);
+    const std::size_t n = 1000;
+    for (const bool ties : {false, true}) {
+        for (const std::size_t k : {1ul, 2ul, 3ul, 25ul, 31ul, 32ul, 33ul}) {
+            std::vector<idx_t> ids(n);
+            std::iota(ids.begin(), ids.end(), idx_t{0});
+            rng.shuffle(ids);
+            std::vector<SearchHit> all(n);
+            TopK t(k);
+            for (std::size_t i = 0; i < n; ++i) {
+                const float d =
+                    ties ? static_cast<float>(rng.uniformU64(4))
+                         : static_cast<float>(rng.uniform());
+                all[i] = {ids[i], d};
+                t.push(ids[i], d);
+            }
+            std::sort(all.begin(), all.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.dist != b.dist ? a.dist < b.dist
+                                                  : a.id < b.id;
+                      });
+            const auto hits = t.sortedHits();
+            ASSERT_EQ(hits.size(), k);
+            for (std::size_t i = 0; i < k; ++i)
+                EXPECT_EQ(hits[i], all[i])
+                    << "ties " << ties << " k " << k << " rank " << i;
+        }
     }
-    std::sort(all.begin(), all.end(), [](const auto &a, const auto &b) {
-        return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-    });
-    const auto hits = t.sortedHits();
-    ASSERT_EQ(hits.size(), k);
-    for (std::size_t i = 0; i < k; ++i)
-        EXPECT_EQ(hits[i], all[i]) << "rank " << i;
 }
 
 TEST(TopK, WorstIdIsTheLastHitUnderTheTieOrder)
