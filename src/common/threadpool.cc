@@ -185,8 +185,9 @@ ThreadPool::parallelForDynamic(std::size_t n, std::size_t grain,
         }
     };
 
+    // The caller works a chunk too, so a one-chunk call wakes no one.
     const std::size_t chunks = (n + grain - 1) / grain;
-    const std::size_t helpers = std::min(threads_.size(), chunks);
+    const std::size_t helpers = std::min(threads_.size(), chunks - 1);
     {
         std::lock_guard<std::mutex> lk(state->sync.m);
         state->sync.remaining = helpers;

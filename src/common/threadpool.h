@@ -97,7 +97,10 @@ class ThreadPool
      * Run fn(i) for i in [0, n) with dynamic scheduling: workers steal
      * `grain`-sized index ranges from a shared cursor, so skewed
      * per-index costs (e.g. queries probing lists of very different
-     * sizes) stay balanced. Blocks until every index is processed.
+     * sizes) stay balanced. The caller steals ranges too, so at most
+     * min(numThreads(), ranges - 1) workers are woken and a call of
+     * one range (n <= grain) runs inline. Blocks until every index is
+     * processed.
      */
     void parallelForDynamic(std::size_t n, std::size_t grain,
                             const std::function<void(std::size_t)> &fn);

@@ -529,7 +529,7 @@ struct EngineConfig
     std::size_t numHotShards = 1;
     /**
      * Per-shard backend factory for the same path; null means the
-     * default in-memory fast-scan replica.
+     * default fast-scan view of the source.
      */
     ShardBackendFactory shardBackendFactory;
 

@@ -9,8 +9,7 @@ namespace vlr::core
 FastScanShardBackend::FastScanShardBackend(
     const vs::IvfPqFastScanIndex &source,
     std::span<const cluster_id_t> clusters)
-    : replica_(source.subsetClusters(clusters)),
-      numClusters_(clusters.size())
+    : source_(source), numClusters_(clusters.size())
 {
     for (const cluster_id_t c : clusters)
         bytes_ += source.listBytes(c);
@@ -21,7 +20,7 @@ FastScanShardBackend::searchClusters(const float *query, std::size_t k,
                                      std::span<const cluster_id_t> clusters,
                                      vs::SearchScratch *scratch) const
 {
-    return replica_.searchClusters(query, k, clusters, nullptr, scratch);
+    return source_.searchClusters(query, k, clusters, nullptr, scratch);
 }
 
 ThrottledShardBackend::ThrottledShardBackend(

@@ -5,13 +5,14 @@
  * The tiered runtime's hot tier is N shards, each behind a
  * HotShardBackend: an abstract per-shard search/bytes/build API that
  * decouples TieredIndex from the concrete storage serving a shard. The
- * default FastScanShardBackend is an in-memory subset replica of the
- * source index (bit-identical distances); ThrottledShardBackend wraps
- * any backend with a fixed per-scan delay to model a slower device in
- * tests and benches. A real accelerator index slots in behind the same
- * interface without touching the tiering, routing or update layers —
- * this is the seam the ROADMAP's "real-device hot tier" item plugs
- * into.
+ * default FastScanShardBackend is a view of the shard's clusters in the
+ * source index: it copies no list and scans the source's own lists, so
+ * its distances are the source's by construction. ThrottledShardBackend
+ * wraps any backend with a fixed per-scan delay to model a slower
+ * device in tests and benches. A real accelerator index slots in behind
+ * the same interface without touching the tiering, routing or update
+ * layers — this is the seam the ROADMAP's "real-device hot tier" item
+ * plugs into.
  */
 
 #ifndef VLR_CORE_SHARD_BACKEND_H
@@ -50,8 +51,8 @@ class HotShardBackend
     virtual ~HotShardBackend() = default;
 
     /**
-     * Scan this shard's copies of @p clusters (all resident here) for
-     * one query and return the top-k hits sorted by (dist, id).
+     * Scan @p clusters (all resident on this shard) for one query and
+     * return the top-k hits sorted by (dist, id).
      * @param query dim() floats.
      * @param k maximum hits returned.
      * @param clusters global cluster ids, every one resident on this
@@ -63,14 +64,11 @@ class HotShardBackend
         std::span<const cluster_id_t> clusters,
         vs::SearchScratch *scratch) const = 0;
 
-    /** Resident bytes of this shard's replica (ids + packed codes). */
+    /** Bytes of the lists this shard serves (ids + packed codes). */
     virtual std::size_t bytes() const = 0;
 
     /** Number of clusters resident on this shard. */
     virtual std::size_t numClusters() const = 0;
-
-    /** Vectors resident on this shard. */
-    virtual std::size_t numVectors() const = 0;
 
     /** Short backend name for stats and bench tables. */
     virtual std::string name() const = 0;
@@ -93,19 +91,18 @@ class HotShardBackend
 };
 
 /**
- * Default backend: an in-memory PQ4 fast-scan subset replica of the
- * shard's clusters, extracted with IvfPqFastScanIndex::subsetClusters.
- * Shares the source's coarse quantizer and trained PQ, so distances are
- * byte-for-byte those of the source — the strongest possible form of
- * the parity contract.
+ * Default backend: a view of the shard's clusters in the source index.
+ * It holds a reference to the source plus the shard's cluster count and
+ * byte footprint, and scans through the source's searchClusters(), so
+ * building a shard copies no list and its distances are the source's
+ * own — the strongest possible form of the parity contract.
  */
 class FastScanShardBackend : public HotShardBackend
 {
   public:
     /**
-     * @param source trained and populated source index (must outlive
-     *        the backend only through construction; the replica owns
-     *        copies of the lists).
+     * @param source trained and populated source index; must outlive
+     *        the backend and stay unmodified while it serves.
      * @param clusters global ids of the clusters this shard serves.
      */
     FastScanShardBackend(const vs::IvfPqFastScanIndex &source,
@@ -118,11 +115,10 @@ class FastScanShardBackend : public HotShardBackend
 
     std::size_t bytes() const override { return bytes_; }
     std::size_t numClusters() const override { return numClusters_; }
-    std::size_t numVectors() const override { return replica_.size(); }
     std::string name() const override { return "fastscan"; }
 
   private:
-    vs::IvfPqFastScanIndex replica_;
+    const vs::IvfPqFastScanIndex &source_;
     std::size_t numClusters_ = 0;
     std::size_t bytes_ = 0;
 };
@@ -151,7 +147,6 @@ class ThrottledShardBackend : public HotShardBackend
 
     std::size_t bytes() const override { return inner_->bytes(); }
     std::size_t numClusters() const override { return inner_->numClusters(); }
-    std::size_t numVectors() const override { return inner_->numVectors(); }
     std::string name() const override
     {
         return "throttled(" + inner_->name() + ")";
@@ -178,11 +173,11 @@ using ShardBackendFactory =
         const vs::IvfPqFastScanIndex &source,
         std::span<const cluster_id_t> clusters, std::size_t shard_id)>;
 
-/** Factory for the default in-memory fast-scan replica backend. */
+/** Factory for the default fast-scan view backend. */
 ShardBackendFactory fastScanShardFactory();
 
 /**
- * Factory wrapping every shard's fast-scan replica in a
+ * Factory wrapping every shard's fast-scan view in a
  * ThrottledShardBackend with the given per-scan delay.
  */
 ShardBackendFactory throttledShardFactory(double delay_seconds);

@@ -196,7 +196,7 @@ SloAutopilot::runControlCycle()
 
     // 1. Fit Eq. 1 from the window's batches. Scan wall time is
     // normalized by the miss fraction (clamped away from zero) to
-    // recover the full-miss T_LUT; the hot-tier replicas are assumed
+    // recover the full-miss T_LUT; the hot-tier shards are assumed
     // off the critical path.
     std::vector<PlKnot> cq_knots, lut_knots;
     cq_knots.reserve(obs.size());

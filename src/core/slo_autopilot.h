@@ -51,7 +51,7 @@
  * batch's miss fraction (clamped away from 0) to recover the
  * full-miss T_LUT the perf model expects — this assumes hot-shard
  * scans are off the critical path, which holds for the in-memory
- * replica backends standing in for the paper's GPU shards.
+ * view backends standing in for the paper's GPU shards.
  *
  * Every decision is surfaced through EngineStatsSnapshot (bounded
  * autopilotTrace) so benches can plot chosen rho / shards / batch cap

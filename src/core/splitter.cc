@@ -1,7 +1,8 @@
 #include "core/splitter.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 
@@ -37,7 +38,6 @@ makeEmpty(const AccessProfile &profile, double rho, int num_shards)
     a.shardClusters.resize(static_cast<std::size_t>(num_shards));
     a.shardBytes.assign(static_cast<std::size_t>(num_shards), 0.0);
     a.clusterShard.assign(profile.nlist(), kCpuShard);
-    a.localId.assign(profile.nlist(), -1);
     return a;
 }
 
@@ -48,8 +48,6 @@ place(ShardAssignment &a, const AccessProfile &profile, cluster_id_t c,
     a.shardClusters[shard].push_back(c);
     a.clusterShard[static_cast<std::size_t>(c)] =
         static_cast<shard_id_t>(shard);
-    a.localId[static_cast<std::size_t>(c)] =
-        static_cast<std::int32_t>(a.shardClusters[shard].size() - 1);
     a.shardBytes[shard] += profile.clusterBytes(c);
 }
 
@@ -79,7 +77,13 @@ IndexSplitter::dealClusters(
     a.shardClusters.resize(static_cast<std::size_t>(num_shards));
     a.shardBytes.assign(static_cast<std::size_t>(num_shards), 0.0);
     a.clusterShard.assign(nlist, kCpuShard);
-    a.localId.assign(nlist, -1);
+    // bytes_of indexes per-cluster tables, so check ids before sorting.
+    for (const cluster_id_t c : clusters)
+        if (c < 0 || static_cast<std::size_t>(c) >= nlist)
+            throw std::invalid_argument(
+                "IndexSplitter::dealClusters: cluster id " +
+                std::to_string(c) + " is outside [0, " +
+                std::to_string(nlist) + ")");
 
     // Sort clusters by footprint descending; round-robin dealing of a
     // descending sequence keeps shard footprints balanced.
@@ -93,13 +97,14 @@ IndexSplitter::dealClusters(
               });
     for (std::size_t i = 0; i < clusters.size(); ++i) {
         const cluster_id_t c = clusters[i];
-        assert(c >= 0 && static_cast<std::size_t>(c) < nlist);
+        if (a.clusterShard[static_cast<std::size_t>(c)] != kCpuShard)
+            throw std::invalid_argument(
+                "IndexSplitter::dealClusters: cluster id " +
+                std::to_string(c) + " is placed twice");
         const std::size_t shard =
             i % static_cast<std::size_t>(num_shards);
         a.clusterShard[static_cast<std::size_t>(c)] =
             static_cast<shard_id_t>(shard);
-        a.localId[static_cast<std::size_t>(c)] =
-            static_cast<std::int32_t>(a.shardClusters[shard].size());
         a.shardClusters[shard].push_back(c);
         a.shardBytes[shard] += bytes_of(c);
     }

@@ -3,7 +3,7 @@
  * Index splitter (paper Section IV-A4): selects the hot clusters for a
  * target coverage, distributes them to GPU shards round-robin in
  * descending size order (balancing shard memory), and emits the mapping
- * tables the router uses — original cluster id -> (shard, local id).
+ * table the router uses — original cluster id -> shard.
  */
 
 #ifndef VLR_CORE_SPLITTER_H
@@ -17,7 +17,7 @@
 namespace vlr::core
 {
 
-/** Placement of hot clusters across GPU shards plus mapping tables. */
+/** Placement of hot clusters across GPU shards plus its mapping table. */
 struct ShardAssignment
 {
     double rho = 0.0;
@@ -25,8 +25,6 @@ struct ShardAssignment
     std::vector<std::vector<cluster_id_t>> shardClusters;
     /** cluster id -> shard id, kCpuShard for CPU-resident clusters. */
     std::vector<shard_id_t> clusterShard;
-    /** cluster id -> local (remapped) id within its shard; -1 if CPU. */
-    std::vector<std::int32_t> localId;
     /** Paper-scale bytes per shard. */
     std::vector<double> shardBytes;
 
@@ -57,14 +55,17 @@ class IndexSplitter
     /**
      * Deal an explicit cluster set across num_shards with the size-
      * balanced policy (descending bytes_of, ties by id, round-robin)
-     * and build the mapping tables. This is the single placement
+     * and build the mapping table. This is the single placement
      * policy: split() applies it to profile bytes, the tiered runtime
      * to real list bytes.
-     * @param clusters hot set to place (each in [0, nlist)).
-     * @param bytes_of per-cluster footprint used for balancing.
-     * @param nlist total clusters (sizes the mapping tables).
+     * @param clusters hot set to place (distinct ids in [0, nlist)).
+     * @param bytes_of per-cluster footprint used for balancing; called
+     *        only for ids in range.
+     * @param nlist total clusters (sizes the mapping table).
      * @param rho coverage recorded on the assignment.
      * @param num_shards shards to deal across (clamped to >= 1).
+     * @throws std::invalid_argument on an id outside [0, nlist) or a
+     *         repeated id.
      */
     static ShardAssignment dealClusters(
         std::vector<cluster_id_t> clusters,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/timer.h"
 #include "vecsearch/topk.h"
@@ -47,6 +49,24 @@ makeHotAssignment(const vs::IvfPqFastScanIndex &source,
             return static_cast<double>(source.listBytes(c));
         },
         nlist, rho, static_cast<int>(num_shards));
+}
+
+/**
+ * Place a profile's top-rho clusters. The profile must describe the
+ * source's clusters: routing indexes the placement by the source's ids.
+ */
+ShardAssignment
+makeProfileAssignment(const vs::IvfPqFastScanIndex &source,
+                      const AccessProfile &profile, double rho,
+                      std::size_t num_shards)
+{
+    if (profile.nlist() != source.nlist())
+        throw std::invalid_argument(
+            "TieredIndex: the profile covers " +
+            std::to_string(profile.nlist()) +
+            " clusters but the source index has " +
+            std::to_string(source.nlist()));
+    return IndexSplitter::split(profile, rho, static_cast<int>(num_shards));
 }
 
 } // namespace
@@ -107,9 +127,8 @@ TieredIndex::TieredIndex(const vs::IvfPqFastScanIndex &source,
                          TieredOptions opts)
     : source_(source), opts_(normalizeOptions(std::move(opts))),
       tiers_(new Tiers(source,
-                       IndexSplitter::split(
-                           profile, rho,
-                           static_cast<int>(opts_.numShards)),
+                       makeProfileAssignment(source, profile, rho,
+                                             opts_.numShards),
                        opts_)),
       statShards_([nlist = source.nlist(), max = opts_.maxShards] {
           return std::make_unique<StatShard>(nlist, max);

@@ -5,14 +5,14 @@
  *
  * A TieredIndex splits a trained IvfPqFastScanIndex by cluster: the hot
  * tier is N shards, each behind a pluggable HotShardBackend (the
- * default is an in-memory fast-scan subset replica standing in for a
- * GPU-resident shard), while cold probes scan the source index in place
- * — the CPU keeps the full index, exactly as the paper's host-side
- * master copy does. Alternatively TieredOptions::coldBackend swaps the
- * in-place cold scan for a pluggable backend (storage::MmapColdTier
- * serves cold probes straight from a memory-mapped artifact), keeping
- * the same bit-identical parity contract. Hot clusters are placed
- * across shards by the same
+ * default is a fast-scan view of the shard's lists in the source index,
+ * standing in for a GPU-resident shard), while cold probes scan the
+ * source index in place — the CPU keeps the full index, exactly as the
+ * paper's host-side master copy does. Alternatively
+ * TieredOptions::coldBackend swaps the in-place cold scan for a
+ * pluggable backend (storage::MmapColdTier serves cold probes straight
+ * from a memory-mapped artifact), keeping the same bit-identical parity
+ * contract. Hot clusters are placed across shards by the same
  * size-balanced round-robin dealing IndexSplitter::split uses, and each
  * query's probe list is routed through the pruned Router over the
  * multi-shard ShardAssignment, so hot-covered queries skip the cold
@@ -61,8 +61,8 @@ struct TieredOptions
     /** Hot shards the hot set is dealt across (>= 1). */
     std::size_t numShards = 1;
     /**
-     * Builds each shard's backend; null means the default in-memory
-     * fast-scan replica (fastScanShardFactory()).
+     * Builds each shard's backend; null means the default fast-scan
+     * view of the source (fastScanShardFactory()).
      */
     ShardBackendFactory backendFactory;
     /**
@@ -137,13 +137,13 @@ struct TieredStatsSnapshot
     /** Current coverage: hot clusters / nlist. */
     double rho = 0.0;
     std::size_t numHot = 0;
-    /** Resident bytes of the current hot tier across all shards. */
+    /** Bytes of the lists the current hot tier serves, all shards. */
     std::size_t hotBytes = 0;
     /** Hot shards in the current snapshot. */
     std::size_t numShards = 0;
     /** Backend name of the current snapshot's shards. */
     std::string backend;
-    /** Resident bytes per shard (current snapshot). */
+    /** Bytes of the lists each shard serves (current snapshot). */
     std::vector<std::size_t> shardBytes;
     /** Cumulative probes routed to each shard since construction. */
     std::vector<std::size_t> shardProbeCounts;
@@ -198,10 +198,12 @@ class TieredIndex
   public:
     /**
      * @param source trained and populated single-tier index.
-     * @param hot_clusters clusters replicated on the hot tier (any
-     *        subset of [0, nlist), e.g. AccessProfile::hotClusters);
+     * @param hot_clusters clusters placed on the hot tier (distinct
+     *        ids in [0, nlist), e.g. AccessProfile::hotClusters);
      *        dealt across opts.numShards by descending size.
      * @param opts hot-tier shape (shard count + backend factory).
+     * @throws std::invalid_argument on an id outside [0, nlist) or a
+     *         repeated id.
      */
     TieredIndex(const vs::IvfPqFastScanIndex &source,
                 std::vector<cluster_id_t> hot_clusters,
@@ -211,6 +213,8 @@ class TieredIndex
      * Hot set = profile's top-rho clusters, placed across
      * opts.numShards with IndexSplitter::split's size-balanced
      * round-robin dealing.
+     * @throws std::invalid_argument when the profile's nlist is not
+     *         the source's.
      */
     TieredIndex(const vs::IvfPqFastScanIndex &source,
                 const AccessProfile &profile, double rho,
@@ -260,13 +264,15 @@ class TieredIndex
 
     /**
      * Rebuild the hot tier around a new hot set and atomically swap it
-     * in. The (expensive) rebuild of every shard backend runs before
-     * the swap, outside any lock; searches started on the old snapshot
+     * in. The rebuild of every shard backend runs before the swap,
+     * outside any lock; searches started on the old snapshot
      * finish on it (the displaced generation is epoch-retired and
      * freed once the last pinned reader exits). The backend factory is
      * preserved; @p num_shards picks the rebuilt shard count (clamped
      * to [1, maxShards()]), with 0 keeping the current count — the
      * autopilot's shard-count actuation rides this parameter.
+     * @throws std::invalid_argument on an id outside [0, nlist) or a
+     *         repeated id; the current placement keeps serving.
      */
     void repartition(std::vector<cluster_id_t> hot_clusters,
                      std::size_t num_shards = 0);
@@ -330,7 +336,7 @@ class TieredIndex
         std::vector<std::unique_ptr<HotShardBackend>> shards;
         std::size_t numHot = 0;
         double rho = 0.0;
-        /** Total resident bytes across shards. */
+        /** Bytes of the lists served across shards. */
         std::size_t hotBytes = 0;
 
         Tiers(const vs::IvfPqFastScanIndex &source, ShardAssignment a,

@@ -176,11 +176,6 @@ IndexStore::save(const std::string &path,
     if (page_size == 0 || (page_size & (page_size - 1)) != 0)
         throw vs::IoError("IndexStore::save: page size is not a power "
                           "of two");
-    const auto *flat_cq = dynamic_cast<const vs::FlatCoarseQuantizer *>(
-        &index.quantizer());
-    if (flat_cq == nullptr)
-        throw vs::IoError("IndexStore::save: only FlatCoarseQuantizer "
-                          "artifacts are supported");
 
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os)
@@ -201,7 +196,7 @@ IndexStore::save(const std::string &path,
     h.pqOffset = kHeaderBytes;
     vs::savePq(os, index.pq());
     h.cqOffset = static_cast<std::uint64_t>(os.tellp());
-    vs::saveCoarseQuantizer(os, *flat_cq);
+    vs::saveCoarseQuantizer(os, index.quantizer());
 
     h.listsOffset =
         alignUp(static_cast<std::uint64_t>(os.tellp()), page_size);

@@ -79,10 +79,9 @@ class IndexStore
 
     /**
      * Write @p index as one artifact file at @p path (overwriting).
-     * Requires a FlatCoarseQuantizer (the only serializable CQ) and a
-     * trained PQ. Deterministic: saving an identical index yields a
-     * byte-identical file. @throws vs::IoError on unsupported input or
-     * write failure.
+     * Requires a trained PQ. Deterministic: saving an identical index
+     * yields a byte-identical file. @throws vs::IoError on unsupported
+     * input or write failure.
      */
     static ArtifactInfo save(const std::string &path,
                              const vs::IvfPqFastScanIndex &index,

@@ -94,7 +94,7 @@ class MmapColdTier : public core::HotShardBackend
     std::size_t bytes() const override;
     std::size_t numClusters() const override;
     /** Base vectors in the mapping + unmerged delta vectors. */
-    std::size_t numVectors() const override;
+    std::size_t numVectors() const;
     std::string name() const override { return "mmap-cold"; }
 
     /**

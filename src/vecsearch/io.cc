@@ -15,7 +15,6 @@ namespace
 {
 
 constexpr std::uint32_t kPqMagic = 0x56505131;    // "VPQ1"
-constexpr std::uint32_t kFlatMagic = 0x56464931;  // "VFI1"
 constexpr std::uint32_t kCqMagic = 0x56435131;    // "VCQ1"
 constexpr std::uint32_t kListsMagic = 0x564C4C31; // "VLL1"
 
@@ -202,36 +201,6 @@ loadPq(std::istream &is)
     return ProductQuantizer::fromCodebooks(
         static_cast<std::size_t>(dim), static_cast<std::size_t>(m),
         static_cast<std::size_t>(nbits), std::move(codebooks));
-}
-
-void
-saveFlatIndex(std::ostream &os, const FlatIndex &index)
-{
-    writeU32(os, kFlatMagic);
-    writeU64(os, index.dim());
-    writeU32(os, index.metric() == Metric::L2 ? 0 : 1);
-    writeU64(os, index.size());
-    for (std::size_t i = 0; i < index.size(); ++i)
-        writeFloats(os, index.vectorData(static_cast<idx_t>(i)),
-                    index.dim());
-}
-
-FlatIndex
-loadFlatIndex(std::istream &is)
-{
-    expectMagic(is, kFlatMagic, "FlatIndex");
-    const std::uint64_t dim = readU64(is);
-    const Metric metric = readMetric(is, "FlatIndex");
-    const std::uint64_t n = readU64(is);
-    if (dim == 0)
-        throw IoError("loadFlatIndex: zero dimension");
-    const std::uint64_t count = elemCount(n, dim, "flat vectors");
-    FlatIndex index(static_cast<std::size_t>(dim), metric);
-    if (n > 0) {
-        const auto data = readFloats(is, count, "flat vectors");
-        index.add(data, static_cast<std::size_t>(n));
-    }
-    return index;
 }
 
 void

@@ -29,7 +29,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "vecsearch/flat_index.h"
 #include "vecsearch/ivf.h"
 #include "vecsearch/ivf_pq_fastscan.h"
 #include "vecsearch/pq.h"
@@ -57,12 +56,6 @@ void savePq(std::ostream &os, const ProductQuantizer &pq);
 
 /** Load a product quantizer. @throws IoError on format mismatch. */
 ProductQuantizer loadPq(std::istream &is);
-
-/** Serialize a flat index (dim, metric and raw vectors). */
-void saveFlatIndex(std::ostream &os, const FlatIndex &index);
-
-/** Load a flat index. @throws IoError on format mismatch. */
-FlatIndex loadFlatIndex(std::istream &is);
 
 /** Serialize a flat coarse quantizer (centroid table). */
 void saveCoarseQuantizer(std::ostream &os, const FlatCoarseQuantizer &cq);

@@ -7,7 +7,7 @@
 namespace vlr::vs
 {
 
-IvfPqIndex::IvfPqIndex(std::shared_ptr<const CoarseQuantizer> cq,
+IvfPqIndex::IvfPqIndex(std::shared_ptr<const FlatCoarseQuantizer> cq,
                        std::size_t m, std::size_t nbits, bool by_residual)
     : cq_(std::move(cq)), pq_(cq_->dim(), m, nbits), byResidual_(by_residual)
 {

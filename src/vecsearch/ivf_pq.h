@@ -51,7 +51,7 @@ struct SearchBreakdown
 class IvfPqIndex
 {
   public:
-    IvfPqIndex(std::shared_ptr<const CoarseQuantizer> cq, std::size_t m,
+    IvfPqIndex(std::shared_ptr<const FlatCoarseQuantizer> cq, std::size_t m,
                std::size_t nbits, bool by_residual = false);
 
     /** Train the PQ codebooks on a sample of the corpus. */
@@ -76,7 +76,7 @@ class IvfPqIndex
         std::span<const float> queries, std::size_t nq, std::size_t k,
         std::size_t nprobe, SearchBreakdown *bd = nullptr) const;
 
-    const CoarseQuantizer &quantizer() const { return *cq_; }
+    const FlatCoarseQuantizer &quantizer() const { return *cq_; }
     const ProductQuantizer &pq() const { return pq_; }
     bool byResidual() const { return byResidual_; }
     std::size_t dim() const { return cq_->dim(); }
@@ -93,7 +93,7 @@ class IvfPqIndex
   private:
     void scanList(cluster_id_t c, const float *lut, TopK &topk) const;
 
-    std::shared_ptr<const CoarseQuantizer> cq_;
+    std::shared_ptr<const FlatCoarseQuantizer> cq_;
     ProductQuantizer pq_;
     bool byResidual_;
     std::size_t total_ = 0;

@@ -164,7 +164,7 @@ scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
 }
 
 IvfPqFastScanIndex::IvfPqFastScanIndex(
-    std::shared_ptr<const CoarseQuantizer> cq, std::size_t m)
+    std::shared_ptr<const FlatCoarseQuantizer> cq, std::size_t m)
     : cq_(std::move(cq)), pq_(cq_->dim(), m, 4)
 {
     if (m > kMaxFastScanSub)
@@ -336,25 +336,7 @@ IvfPqFastScanIndex::searchBatchParallel(
 }
 
 IvfPqFastScanIndex
-IvfPqFastScanIndex::subsetClusters(
-    std::span<const cluster_id_t> clusters) const
-{
-    IvfPqFastScanIndex out(cq_, pq_.numSub());
-    out.pq_ = pq_;
-    std::size_t resident = 0;
-    for (const cluster_id_t c : clusters) {
-        const auto ci = static_cast<std::size_t>(c);
-        assert(ci < ids_.size());
-        out.ids_[ci] = ids_[ci];
-        out.packed_[ci] = packed_[ci];
-        resident += ids_[ci].size();
-    }
-    out.total_ = resident;
-    return out;
-}
-
-IvfPqFastScanIndex
-IvfPqFastScanIndex::fromParts(std::shared_ptr<const CoarseQuantizer> cq,
+IvfPqFastScanIndex::fromParts(std::shared_ptr<const FlatCoarseQuantizer> cq,
                               ProductQuantizer pq,
                               std::vector<std::vector<idx_t>> ids,
                               std::vector<std::vector<std::uint8_t>> packed)

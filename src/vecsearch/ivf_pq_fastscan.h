@@ -79,13 +79,12 @@ void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
  *
  * Search is reentrant: const search methods share no mutable state, so
  * any number of threads may query one index concurrently (the engine's
- * batch executor relies on this). The coarse quantizer must itself be
- * thread-safe for concurrent probes — FlatCoarseQuantizer is.
+ * batch executor relies on this).
  */
 class IvfPqFastScanIndex
 {
   public:
-    IvfPqFastScanIndex(std::shared_ptr<const CoarseQuantizer> cq,
+    IvfPqFastScanIndex(std::shared_ptr<const FlatCoarseQuantizer> cq,
                        std::size_t m);
 
     void train(std::span<const float> data, std::size_t n,
@@ -151,20 +150,6 @@ class IvfPqFastScanIndex
         SearchBreakdown *bd = nullptr) const;
 
     /**
-     * Extract a read-only sub-index holding only the given clusters'
-     * inverted lists. The subset shares this index's coarse quantizer
-     * and trained PQ, keeps global cluster and vector ids (lists of
-     * absent clusters are empty), and its packed codes are byte-for-byte
-     * copies — so searchClusters() on the subset returns bit-identical
-     * distances to the source. This is the index-splitting primitive of
-     * the tiered runtime: the hot tier is a subset replica of the hot
-     * clusters. Do not add() to a subset; new vectors would be
-     * mis-numbered relative to the source.
-     */
-    IvfPqFastScanIndex subsetClusters(
-        std::span<const cluster_id_t> clusters) const;
-
-    /**
      * Rebuild an index from a trained PQ and exported inverted lists —
      * the deserialization path (storage::IndexStore). The lists are
      * adopted verbatim, so searches on the restored index are
@@ -173,7 +158,7 @@ class IvfPqFastScanIndex
      * with packed sized to whole fast-scan blocks.
      */
     static IvfPqFastScanIndex fromParts(
-        std::shared_ptr<const CoarseQuantizer> cq, ProductQuantizer pq,
+        std::shared_ptr<const FlatCoarseQuantizer> cq, ProductQuantizer pq,
         std::vector<std::vector<idx_t>> ids,
         std::vector<std::vector<std::uint8_t>> packed);
 
@@ -182,7 +167,7 @@ class IvfPqFastScanIndex
     /** Packed fast-scan codes of one inverted list (whole blocks). */
     std::span<const std::uint8_t> listPacked(cluster_id_t c) const;
 
-    const CoarseQuantizer &quantizer() const { return *cq_; }
+    const FlatCoarseQuantizer &quantizer() const { return *cq_; }
     const ProductQuantizer &pq() const { return pq_; }
     std::size_t dim() const { return cq_->dim(); }
     std::size_t nlist() const { return cq_->nlist(); }
@@ -194,7 +179,7 @@ class IvfPqFastScanIndex
     std::size_t memoryBytes() const;
 
   private:
-    std::shared_ptr<const CoarseQuantizer> cq_;
+    std::shared_ptr<const FlatCoarseQuantizer> cq_;
     ProductQuantizer pq_;
     std::size_t total_ = 0;
     std::vector<std::vector<idx_t>> ids_;

@@ -6,8 +6,9 @@ namespace vlr::wl
 {
 
 PlanSet
-PlanSet::build(const vs::CoarseQuantizer &cq, std::span<const float> queries,
-               std::size_t nq, std::size_t nprobe,
+PlanSet::build(const vs::FlatCoarseQuantizer &cq,
+               std::span<const float> queries, std::size_t nq,
+               std::size_t nprobe,
                std::span<const double> work_per_cluster)
 {
     const std::size_t d = cq.dim();

@@ -40,7 +40,7 @@ class PlanSet
      * Build plans for nq queries.
      * @param work_per_cluster paper-scale vectors of each cluster.
      */
-    static PlanSet build(const vs::CoarseQuantizer &cq,
+    static PlanSet build(const vs::FlatCoarseQuantizer &cq,
                          std::span<const float> queries, std::size_t nq,
                          std::size_t nprobe,
                          std::span<const double> work_per_cluster);

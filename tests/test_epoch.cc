@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,10 +200,12 @@ TEST(EpochManager, SnapshotNeverFreedWhileReaderHoldsIt)
 
     constexpr int kReaders = 4;
     std::atomic<long> reads{0};
+    std::atomic<int> started{0};
     std::vector<std::thread> readers;
     readers.reserve(kReaders);
     for (int t = 0; t < kReaders; ++t)
         readers.emplace_back([&] {
+            bool first = true;
             while (!stop.load(std::memory_order_acquire)) {
                 EpochGuard g(mgr);
                 const Canary *c =
@@ -210,11 +213,17 @@ TEST(EpochManager, SnapshotNeverFreedWhileReaderHoldsIt)
                 for (int i = 0; i < 64; ++i)
                     ASSERT_EQ(c->magic, 0xfeedu);
                 reads.fetch_add(1, std::memory_order_relaxed);
+                if (std::exchange(first, false))
+                    started.fetch_add(1, std::memory_order_release);
             }
         });
 
     constexpr int kSwaps = 2000;
     std::thread writer([&] {
+        // Swap only once every reader has finished a guarded read, so
+        // the swaps overlap reads however the threads are scheduled.
+        while (started.load(std::memory_order_acquire) < kReaders)
+            std::this_thread::yield();
         for (int i = 0; i < kSwaps; ++i) {
             Canary *next = new Canary(frees);
             Canary *old =

@@ -93,48 +93,6 @@ TEST(Io, LoadPqRejectsTruncatedStream)
     EXPECT_THROW(loadPq(cut), std::runtime_error);
 }
 
-TEST(Io, FlatIndexRoundTripPreservesSearch)
-{
-    const auto data = gaussianData(500, 12, 4);
-    FlatIndex index(12);
-    index.add(data, 500);
-
-    std::stringstream buf;
-    saveFlatIndex(buf, index);
-    const auto loaded = loadFlatIndex(buf);
-
-    EXPECT_EQ(loaded.size(), index.size());
-    EXPECT_EQ(loaded.dim(), index.dim());
-    EXPECT_EQ(loaded.metric(), index.metric());
-    const auto q = gaussianData(1, 12, 5);
-    const auto a = index.search(q.data(), 10);
-    const auto b = loaded.search(q.data(), 10);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(Io, FlatIndexInnerProductMetricSurvives)
-{
-    FlatIndex index(4, Metric::InnerProduct);
-    const auto data = gaussianData(20, 4, 6);
-    index.add(data, 20);
-    std::stringstream buf;
-    saveFlatIndex(buf, index);
-    const auto loaded = loadFlatIndex(buf);
-    EXPECT_EQ(loaded.metric(), Metric::InnerProduct);
-}
-
-TEST(Io, EmptyFlatIndexRoundTrips)
-{
-    FlatIndex index(8);
-    std::stringstream buf;
-    saveFlatIndex(buf, index);
-    const auto loaded = loadFlatIndex(buf);
-    EXPECT_EQ(loaded.size(), 0u);
-    EXPECT_EQ(loaded.dim(), 8u);
-}
-
 TEST(Io, CoarseQuantizerRoundTripPreservesProbes)
 {
     const std::size_t nlist = 64, dim = 8;
@@ -170,11 +128,18 @@ TEST(Io, LoadedCqRebuildsIdenticalIvfIndex)
     auto cq_b = loadCoarseQuantizer(buf);
 
     const auto data = gaussianData(n, dim, 10);
-    IvfFlatIndex a(cq_a), b(cq_b);
+    IvfPqFastScanIndex a(cq_a, dim / 4), b(cq_b, dim / 4);
+    a.train(data, n);
+    b.train(data, n);
     a.add(data, n);
     b.add(data, n);
-    for (cluster_id_t c = 0; c < static_cast<cluster_id_t>(nlist); ++c)
-        EXPECT_EQ(a.listSize(c), b.listSize(c)) << "cluster " << c;
+    for (cluster_id_t c = 0; c < static_cast<cluster_id_t>(nlist); ++c) {
+        const auto ids_a = a.listIds(c);
+        const auto ids_b = b.listIds(c);
+        EXPECT_TRUE(std::equal(ids_a.begin(), ids_a.end(), ids_b.begin(),
+                               ids_b.end()))
+            << "cluster " << c;
+    }
 }
 
 TEST(Io, FromCodebooksValidatesSize)
@@ -220,16 +185,6 @@ savedCq(Metric metric = Metric::L2)
     return buf.str();
 }
 
-std::string
-savedFlat()
-{
-    FlatIndex index(2);
-    index.add(gaussianData(3, 2, 31), 3);
-    std::stringstream buf;
-    saveFlatIndex(buf, index);
-    return buf.str();
-}
-
 constexpr std::uint64_t k2Pow32 = std::uint64_t{1} << 32;
 
 TEST(Io, CoarseQuantizerRejectsAWrappingShape)
@@ -239,14 +194,6 @@ TEST(Io, CoarseQuantizerRejectsAWrappingShape)
     std::stringstream crafted(savedCq().substr(0, 4) +
                               headerBytes(k2Pow32, k2Pow32, std::uint32_t{0}));
     EXPECT_THROW(loadCoarseQuantizer(crafted), IoError);
-}
-
-TEST(Io, FlatIndexRejectsAWrappingShape)
-{
-    std::stringstream crafted(savedFlat().substr(0, 4) +
-                              headerBytes(k2Pow32, std::uint32_t{0},
-                                          k2Pow32));
-    EXPECT_THROW(loadFlatIndex(crafted), IoError);
 }
 
 TEST(Io, PqRejectsAWrappingShape)
@@ -266,16 +213,12 @@ TEST(Io, PqRejectsAWrappingShape)
 
 TEST(Io, UnknownMetricWordIsRejected)
 {
-    // The metric word follows magic, nlist and dim in a CQ, and magic
-    // and dim in a flat index; only 0 (L2) and 1 (inner product) exist.
+    // The metric word follows magic, nlist and dim in a CQ; only 0 (L2)
+    // and 1 (inner product) exist.
     std::string cq = savedCq();
-    std::string flat = savedFlat();
-    const std::string two = headerBytes(std::uint32_t{2});
-    cq.replace(20, 4, two);
-    flat.replace(12, 4, two);
-    std::stringstream cq_in(cq), flat_in(flat);
+    cq.replace(20, 4, headerBytes(std::uint32_t{2}));
+    std::stringstream cq_in(cq);
     EXPECT_THROW(loadCoarseQuantizer(cq_in), IoError);
-    EXPECT_THROW(loadFlatIndex(flat_in), IoError);
 
     std::stringstream ip(savedCq(Metric::InnerProduct));
     EXPECT_EQ(loadCoarseQuantizer(ip)->metric(), Metric::InnerProduct);

@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the IVF-Flat index and the flat coarse quantizer.
+ * Tests for the flat coarse quantizer.
  */
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,151 +14,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "vecsearch/flat_index.h"
 #include "vecsearch/ivf.h"
-#include "vecsearch/kmeans.h"
 
 namespace vlr::vs
 {
 namespace
 {
-
-struct IvfFixture : public ::testing::Test
-{
-    void
-    SetUp() override
-    {
-        Rng rng(42);
-        data_.resize(n_ * d_);
-        for (auto &x : data_)
-            x = static_cast<float>(rng.gaussian());
-
-        KMeansParams p;
-        p.k = nlist_;
-        p.maxPointsPerCentroid = 0;
-        const auto km = kmeansTrain(data_, n_, d_, p);
-        cq_ = std::make_shared<FlatCoarseQuantizer>(km.centroids, nlist_,
-                                                    d_);
-        queries_.resize(nq_ * d_);
-        for (auto &x : queries_)
-            x = static_cast<float>(rng.gaussian());
-    }
-
-    const std::size_t n_ = 2000, d_ = 12, nlist_ = 32, nq_ = 20;
-    std::vector<float> data_;
-    std::vector<float> queries_;
-    std::shared_ptr<FlatCoarseQuantizer> cq_;
-};
-
-TEST_F(IvfFixture, FullProbeMatchesFlatSearch)
-{
-    IvfFlatIndex ivf(cq_);
-    ivf.add(data_, n_);
-    FlatIndex flat(d_);
-    flat.add(data_, n_);
-
-    for (std::size_t i = 0; i < nq_; ++i) {
-        const auto exact = flat.search(queries_.data() + i * d_, 10);
-        const auto approx =
-            ivf.search(queries_.data() + i * d_, 10, nlist_);
-        ASSERT_EQ(approx.size(), exact.size());
-        for (std::size_t j = 0; j < exact.size(); ++j)
-            EXPECT_EQ(approx[j].id, exact[j].id)
-                << "query " << i << " rank " << j;
-    }
-}
-
-TEST_F(IvfFixture, ListSizesSumToTotal)
-{
-    IvfFlatIndex ivf(cq_);
-    ivf.add(data_, n_);
-    const auto sizes = ivf.listSizes();
-    EXPECT_EQ(sizes.size(), nlist_);
-    EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0ul), n_);
-    EXPECT_EQ(ivf.size(), n_);
-}
-
-TEST_F(IvfFixture, PartialProbeRecallImprovesWithNprobe)
-{
-    IvfFlatIndex ivf(cq_);
-    ivf.add(data_, n_);
-    FlatIndex flat(d_);
-    flat.add(data_, n_);
-
-    auto recall = [&](std::size_t nprobe) {
-        std::size_t found = 0;
-        for (std::size_t i = 0; i < nq_; ++i) {
-            const auto exact = flat.search(queries_.data() + i * d_, 10);
-            const auto approx =
-                ivf.search(queries_.data() + i * d_, 10, nprobe);
-            std::set<idx_t> truth;
-            for (const auto &h : exact)
-                truth.insert(h.id);
-            for (const auto &h : approx)
-                found += truth.count(h.id);
-        }
-        return static_cast<double>(found) / (nq_ * 10);
-    };
-
-    const double r1 = recall(1);
-    const double r8 = recall(8);
-    const double r32 = recall(32);
-    EXPECT_LE(r1, r8 + 1e-9);
-    EXPECT_LE(r8, r32 + 1e-9);
-    EXPECT_NEAR(r32, 1.0, 1e-9);
-    EXPECT_GT(r8, 0.6);
-}
-
-TEST_F(IvfFixture, PreassignedAddMatchesAutoAssign)
-{
-    IvfFlatIndex a(cq_), b(cq_);
-    a.add(data_, n_);
-    std::vector<std::int32_t> assign(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-        const auto probes = cq_->probe(data_.data() + i * d_, 1);
-        assign[i] = probes.clusters[0];
-    }
-    b.addPreassigned(data_, n_, assign);
-    for (cluster_id_t c = 0; c < static_cast<cluster_id_t>(nlist_); ++c)
-        EXPECT_EQ(a.listSize(c), b.listSize(c)) << "cluster " << c;
-}
-
-TEST_F(IvfFixture, SearchClustersOnlyScansGivenLists)
-{
-    IvfFlatIndex ivf(cq_);
-    ivf.add(data_, n_);
-    const float *q = queries_.data();
-    // Search cluster 0 only: every hit must be a member of list 0.
-    const std::vector<cluster_id_t> only = {0};
-    const auto hits = ivf.searchClusters(q, 50, only);
-    const auto &ids = ivf.listIds(0);
-    std::set<idx_t> members(ids.begin(), ids.end());
-    for (const auto &h : hits)
-        EXPECT_TRUE(members.count(h.id)) << "id " << h.id;
-}
-
-TEST_F(IvfFixture, SearchClustersUnionEqualsSearch)
-{
-    IvfFlatIndex ivf(cq_);
-    ivf.add(data_, n_);
-    const float *q = queries_.data();
-    const auto probes = cq_->probe(q, 8);
-    const auto via_clusters =
-        ivf.searchClusters(q, 10, probes.clusters);
-    const auto via_search = ivf.search(q, 10, 8);
-    ASSERT_EQ(via_clusters.size(), via_search.size());
-    for (std::size_t j = 0; j < via_search.size(); ++j)
-        EXPECT_EQ(via_clusters[j].id, via_search[j].id);
-}
-
-TEST_F(IvfFixture, EmptyClusterListReturnsNothing)
-{
-    IvfFlatIndex ivf(cq_);
-    ivf.add(data_, n_);
-    const auto hits =
-        ivf.searchClusters(queries_.data(), 10, std::vector<cluster_id_t>{});
-    EXPECT_TRUE(hits.empty());
-}
 
 TEST(FlatCq, ProbeOrderIsByDistance)
 {

@@ -467,6 +467,13 @@ TEST_F(ServingApiFixture, BuilderRejectsInconsistentComposition)
                      .tieredFromProfile(profile, 0.25)
                      .build(),
                  std::invalid_argument);
+    // A profile over another cluster count than the served index.
+    const AccessProfile other(std::vector<double>(nlist_ / 2, 1.0),
+                              std::vector<double>(nlist_ / 2, 1.0),
+                              std::vector<double>(nlist_ / 2, 1.0));
+    EXPECT_THROW(
+        EngineBuilder(*index_).tieredFromProfile(other, 0.25).build(),
+        std::invalid_argument);
 }
 
 TEST_F(ServingApiFixture, BuilderComposesProfileBuiltTier)

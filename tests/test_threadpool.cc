@@ -4,6 +4,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
 #include <thread>
@@ -137,6 +138,35 @@ TEST(ThreadPool, DynamicForBalancesSkewedWork)
     });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, DynamicForOfOneRangeNeedsNoWorker)
+{
+    // The caller takes a range itself, so a call of one range must not
+    // wait for a worker: it returns even while every worker is parked.
+    ThreadPool pool(2);
+    std::promise<void> release;
+    const std::shared_future<void> latch = release.get_future().share();
+    std::atomic<std::size_t> parked{0};
+    for (std::size_t t = 0; t < pool.numThreads(); ++t)
+        pool.submitDetached([&parked, latch] {
+            ++parked;
+            latch.wait();
+        });
+    while (parked.load() < pool.numThreads())
+        std::this_thread::yield();
+
+    std::vector<int> hits(5, 0);
+    auto calls = std::async(std::launch::async, [&] {
+        pool.parallelForDynamic(1, 1, [&](std::size_t i) { hits[i]++; });
+        pool.parallelForDynamic(5, 8, [&](std::size_t i) { hits[i]++; });
+    });
+    const bool returned = calls.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    release.set_value();
+    calls.get();
+    EXPECT_TRUE(returned) << "a one-range call waited for a parked worker";
+    EXPECT_EQ(hits, (std::vector<int>{2, 1, 1, 1, 1}));
 }
 
 TEST(ThreadPool, DynamicForZeroGrainIsClampedToOne)

@@ -6,12 +6,14 @@
  * lists, rho = 0 and rho = 1), tie-breaking when PQ4 codes collapse,
  * pluggable shard backends (throttled double under concurrent
  * repartition), live access counting and its drain consistency
- * contract, and concurrent repartition.
+ * contract, concurrent repartition, and rejection of malformed
+ * placements.
  */
 
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -121,23 +123,22 @@ struct TieredFixture : public ::testing::Test
     std::unique_ptr<vs::IvfPqFastScanIndex> index_;
 };
 
-TEST_F(TieredFixture, SubsetClustersPreservesListsExactly)
+TEST_F(TieredFixture, ShardViewScansTheSourceLists)
 {
     const auto hot = topBySize(nlist_ / 2);
-    const auto subset = index_->subsetClusters(hot);
+    const FastScanShardBackend shard(*index_, hot);
 
-    std::size_t expected_total = 0;
+    std::size_t expected_bytes = 0;
     for (const cluster_id_t c : hot)
-        expected_total += index_->listSize(c);
-    EXPECT_EQ(subset.size(), expected_total);
-    EXPECT_EQ(subset.nlist(), index_->nlist());
-    EXPECT_EQ(subset.dim(), index_->dim());
+        expected_bytes += index_->listBytes(c);
+    EXPECT_EQ(shard.bytes(), expected_bytes);
+    EXPECT_EQ(shard.numClusters(), hot.size());
 
-    // Scanning the subset's clusters returns bit-identical hits.
+    // Scanning the shard's clusters returns bit-identical hits.
     for (std::size_t i = 0; i < 8; ++i) {
         const float *q = queries_.data() + i * d_;
         const auto a = index_->searchClusters(q, k_, hot);
-        const auto b = subset.searchClusters(q, k_, hot);
+        const auto b = shard.searchClusters(q, k_, hot, nullptr);
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t j = 0; j < a.size(); ++j) {
             EXPECT_EQ(a[j].id, b[j].id);
@@ -313,7 +314,7 @@ TEST_F(TieredFixture, EmptyHotTierServesEverythingCold)
 
 TEST_F(TieredFixture, FullCoverageNeverTouchesColdTier)
 {
-    // rho = 1 degenerate: the hot replica holds every cluster.
+    // rho = 1 degenerate: the hot tier holds every cluster.
     std::vector<cluster_id_t> all(nlist_);
     std::iota(all.begin(), all.end(), 0);
     TieredIndex tiered(*index_, all);
@@ -502,6 +503,48 @@ TEST_F(TieredFixture, SplitterPlacedShardsPreserveParity)
         for (const std::size_t b : s.shardBytes)
             EXPECT_GT(b, 0u);
     }
+}
+
+TEST_F(TieredFixture, RejectsAProfileOfAnotherIndex)
+{
+    // Routing indexes the placement by the source's cluster ids, so a
+    // profile over a different cluster count must not build a tier.
+    for (const std::size_t nlist : {nlist_ / 2, nlist_ + 1}) {
+        const AccessProfile profile(std::vector<double>(nlist, 1.0),
+                                    std::vector<double>(nlist, 1.0),
+                                    std::vector<double>(nlist, 1.0));
+        EXPECT_THROW((TieredIndex{*index_, profile, 0.5}),
+                     std::invalid_argument)
+            << "profile nlist " << nlist;
+    }
+}
+
+TEST_F(TieredFixture, RejectsHotClusterIdsOutOfRange)
+{
+    const auto past_end = static_cast<cluster_id_t>(nlist_);
+    for (const std::vector<cluster_id_t> &hot :
+         {std::vector<cluster_id_t>{0, past_end},
+          std::vector<cluster_id_t>{-1}}) {
+        EXPECT_THROW((TieredIndex{*index_, hot}), std::invalid_argument);
+        // A rejected repartition leaves the current placement serving.
+        TieredIndex tiered(*index_, topBySize(nlist_ / 4));
+        EXPECT_THROW(tiered.repartition(hot), std::invalid_argument);
+        EXPECT_EQ(tiered.numHotClusters(), nlist_ / 4);
+        EXPECT_EQ(tiered.stats().repartitions, 0u);
+        expectParity(tiered, k_, nprobe_);
+    }
+}
+
+TEST_F(TieredFixture, RejectsRepeatedHotClusterIds)
+{
+    // A repeated id would count twice in numHot, rho and hotBytes.
+    const std::vector<cluster_id_t> hot = {3, 5, 3};
+    EXPECT_THROW((TieredIndex{*index_, hot}), std::invalid_argument);
+    TieredIndex tiered(*index_, topBySize(nlist_ / 4));
+    EXPECT_THROW(tiered.repartition(hot), std::invalid_argument);
+    EXPECT_EQ(tiered.numHotClusters(), nlist_ / 4);
+    EXPECT_EQ(tiered.stats().repartitions, 0u);
+    expectParity(tiered, k_, nprobe_);
 }
 
 TEST_F(TieredFixture, MultiShardParallelBatchMatchesSerial)
