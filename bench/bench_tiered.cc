@@ -9,8 +9,13 @@
  * fraction next to the HitRateEstimator's calibration-time prediction —
  * the live analogue of the paper's Fig. 6 hit-rate model. A second
  * sweep scales the hot tier across shard counts and backends
- * (fast-scan replica vs the throttled slow-device double), reporting
+ * (fast-scan view vs the throttled slow-device double), reporting
  * per-shard probe balance from the multi-shard router.
+ *
+ * Every tiered row doubles as a parity gate: each served query's hits
+ * must equal the flat engine's hits for the same query, bit for bit.
+ * The bench prints the match count per row and exits 1 on any
+ * mismatch; timings gate nothing.
  *
  * Run: ./bench_tiered [num_queries] [--smoke]
  */
@@ -90,6 +95,12 @@ main(int argc, char **argv)
             .build();
     };
 
+    // Wall seconds to serve the stream, and every response's hits.
+    struct Run
+    {
+        double secs = 0.0;
+        std::vector<std::vector<vs::SearchHit>> hits;
+    };
     const auto run_engine = [&](core::RetrievalEngine &engine) {
         WallTimer wall;
         std::vector<std::future<core::SearchResponse>> futures;
@@ -99,10 +110,26 @@ main(int argc, char **argv)
                 {.query = std::span<const float>(
                      queries.data() + i * spec.dim, spec.dim)}));
         engine.drain();
-        const double secs = wall.elapsed();
+        Run run{wall.elapsed(), {}};
+        run.hits.reserve(n_queries);
         for (auto &f : futures)
-            f.get();
-        return secs;
+            run.hits.push_back(f.get().hits);
+        return run;
+    };
+
+    // Parity gate: a tiered row's hits against the flat engine's.
+    std::vector<std::vector<vs::SearchHit>> flat_hits;
+    std::size_t mismatched_rows = 0;
+    const auto check_parity = [&](const std::string &row,
+                                  const Run &run) {
+        std::size_t matched = 0;
+        for (std::size_t i = 0; i < n_queries; ++i)
+            if (run.hits[i] == flat_hits[i])
+                ++matched;
+        std::cout << "parity " << row << ": " << matched << "/"
+                  << n_queries << " queries match flat\n";
+        if (matched != n_queries)
+            ++mismatched_rows;
     };
 
     TextTable t({"system", "hot", "hot MB", "QPS", "p50 srch (ms)",
@@ -136,7 +163,9 @@ main(int argc, char **argv)
     // Single-tier baseline: the flat engine.
     {
         const auto engine = make_builder(core::EngineBuilder(index));
-        const double secs = run_engine(*engine);
+        Run run = run_engine(*engine);
+        const double secs = run.secs;
+        flat_hits = std::move(run.hits);
         const auto s = engine->stats();
         flat_qps = static_cast<double>(s.completed) / secs;
         flat_p50 = s.searchLatency.p50;
@@ -155,7 +184,9 @@ main(int argc, char **argv)
     for (const double rho : rhos) {
         core::TieredIndex tiered(index, profile, rho);
         const auto engine = make_builder(core::EngineBuilder(tiered));
-        const double secs = run_engine(*engine);
+        const Run run = run_engine(*engine);
+        const double secs = run.secs;
+        check_parity("rho=" + TextTable::num(rho, 2), run);
         const auto s = engine->stats();
         const auto ts = tiered.stats();
         rho_rows.push_back(
@@ -194,9 +225,8 @@ main(int argc, char **argv)
 
     // --- multi-shard hot tier: shard count x backend sweep ------------
     std::cout << "Multi-shard hot tier at rho=0.25 "
-              << "(per-query shard scans fan out)\n"
-              << "----------------------------------------------------"
-              << "-----------\n";
+              << "(one pool task per query)\n"
+              << std::string(58, '-') << "\n";
     TextTable st({"backend", "shards", "QPS", "p50 srch (ms)",
                   "p99 srch (ms)", "probe balance", "scan us/shard"});
     struct BackendCase
@@ -207,7 +237,7 @@ main(int argc, char **argv)
     const std::vector<BackendCase> backends = {
         {"fastscan", core::fastScanShardFactory()},
         // 50us per shard scan: a stand-in for a device with per-kernel
-        // launch overhead, stressing the fan-out path.
+        // launch overhead inside each query's task.
         {"throttled 50us", core::throttledShardFactory(50e-6)},
     };
     const std::vector<std::size_t> shard_counts =
@@ -220,7 +250,11 @@ main(int argc, char **argv)
                                  .tieredFromProfile(profile, 0.25)
                                  .hotShards(shards)
                                  .shardBackend(bc.factory));
-            const double secs = run_engine(*engine);
+            const Run run = run_engine(*engine);
+            const double secs = run.secs;
+            check_parity(std::string(bc.label) + " x" +
+                             std::to_string(shards),
+                         run);
             const auto s = engine->stats();
             const auto ts = engine->tiered()->stats();
             // Balance: smallest / largest cumulative per-shard probe
@@ -233,7 +267,7 @@ main(int argc, char **argv)
                 mn = std::min(mn, p);
                 mx = std::max(mx, p);
             }
-            // Mean searchClusters wall time per shard (min-max across
+            // Mean bucket-scan wall time per shard (min-max across
             // shards): the signal a per-shard executor would balance.
             double scan_min = 0.0, scan_max = 0.0;
             bool have_scan = false;
@@ -277,9 +311,9 @@ main(int argc, char **argv)
                  "the mean per-scan wall time of the\nfastest and "
                  "slowest shard (TieredStatsSnapshot shardScanSeconds /"
                  "\nshardScanCounts). The throttled backend adds a "
-                 "per-scan launch delay and\nstresses the fan-out "
-                 "path, where shard scans of different queries run\n"
-                 "concurrently instead of serializing the batch.\n";
+                 "per-scan launch delay; it\nstalls only the queries "
+                 "holding probes on the shard, since each query\nis "
+                 "one pool task and the other lanes keep serving.\n";
 
     // --- perf snapshot for CI trend archiving ---
     {
@@ -331,5 +365,10 @@ main(int argc, char **argv)
         os << "\n";
     }
     std::cout << "\nwrote BENCH_tiered.json\n";
+    if (mismatched_rows > 0) {
+        std::cerr << "bench_tiered: " << mismatched_rows
+                  << " tiered rows served hits that differ from flat\n";
+        return 1;
+    }
     return 0;
 }

@@ -15,12 +15,14 @@ FastScanShardBackend::FastScanShardBackend(
         bytes_ += source.listBytes(c);
 }
 
-std::vector<vs::SearchHit>
-FastScanShardBackend::searchClusters(const float *query, std::size_t k,
-                                     std::span<const cluster_id_t> clusters,
-                                     vs::SearchScratch *scratch) const
+void
+FastScanShardBackend::scanClusters(const float *,
+                                   const vs::QuantizedLut &qlut,
+                                   std::span<const cluster_id_t> clusters,
+                                   vs::SearchScratch &scratch,
+                                   vs::TopK &topk) const
 {
-    return source_.searchClusters(query, k, clusters, nullptr, scratch);
+    source_.scanClusters(qlut, clusters, scratch, topk);
 }
 
 ThrottledShardBackend::ThrottledShardBackend(
@@ -29,16 +31,17 @@ ThrottledShardBackend::ThrottledShardBackend(
 {
 }
 
-std::vector<vs::SearchHit>
-ThrottledShardBackend::searchClusters(
-    const float *query, std::size_t k,
-    std::span<const cluster_id_t> clusters,
-    vs::SearchScratch *scratch) const
+void
+ThrottledShardBackend::scanClusters(const float *query,
+                                    const vs::QuantizedLut &qlut,
+                                    std::span<const cluster_id_t> clusters,
+                                    vs::SearchScratch &scratch,
+                                    vs::TopK &topk) const
 {
     if (delaySeconds_ > 0.0)
         std::this_thread::sleep_for(
             std::chrono::duration<double>(delaySeconds_));
-    return inner_->searchClusters(query, k, clusters, scratch);
+    inner_->scanClusters(query, qlut, clusters, scratch, topk);
 }
 
 ShardBackendFactory

@@ -3,8 +3,10 @@
  * Pluggable per-shard hot-tier backends.
  *
  * The tiered runtime's hot tier is N shards, each behind a
- * HotShardBackend: an abstract per-shard search/bytes/build API that
- * decouples TieredIndex from the concrete storage serving a shard. The
+ * HotShardBackend: an abstract per-shard scan/bytes/build API that
+ * decouples TieredIndex from the concrete storage serving a shard. A
+ * tiered query builds its LUT and its TopK once and hands both to every
+ * backend holding one of its probes, so a backend only scans lists. The
  * default FastScanShardBackend is a view of the shard's clusters in the
  * source index: it copies no list and scans the source's own lists, so
  * its distances are the source's by construction. ThrottledShardBackend
@@ -30,20 +32,22 @@ namespace vlr::core
 {
 
 /**
- * One hot shard's storage + search implementation.
+ * One hot shard's storage + scan implementation.
  *
  * Implementations must be internally immutable after construction:
- * searchClusters() is const and may run from any number of threads
- * concurrently (the tiered batch executor fans different queries' shard
- * scans across a pool). A shard is rebuilt — never mutated — on
- * repartition: the tiered runtime constructs a fresh backend set for
- * the new placement and swaps the whole snapshot.
+ * scanClusters() is const and may run from any number of threads
+ * concurrently (each tiered query runs in its own pool task). A shard
+ * is rebuilt — never mutated — on repartition: the tiered runtime
+ * constructs a fresh backend set for the new placement and swaps the
+ * whole snapshot.
  *
  * Correctness contract: for every cluster assigned to the shard,
- * searchClusters() must return exactly the hits the source index's
- * searchClusters() returns for the same (query, k, clusters), with
- * bit-identical distances — the tiered parity guarantee (merged
- * per-shard top-k == single-tier serial search) rests on it.
+ * scanClusters() must offer @p topk exactly the (id, distance) pairs
+ * the source index's IvfPqFastScanIndex::scanClusters() offers for the
+ * same (qlut, clusters), with bit-identical distances. TopK keeps the
+ * k least hits under the (dist, id) order whatever order lists arrive
+ * in, so a query's buckets scanned into one TopK reproduce the
+ * single-tier serial search — the tiered parity guarantee rests on it.
  */
 class HotShardBackend
 {
@@ -51,18 +55,24 @@ class HotShardBackend
     virtual ~HotShardBackend() = default;
 
     /**
-     * Scan @p clusters (all resident on this shard) for one query and
-     * return the top-k hits sorted by (dist, id).
-     * @param query dim() floats.
-     * @param k maximum hits returned.
+     * Scan @p clusters (all resident on this shard) for one query into
+     * the query's running top-k.
+     * @param query dim() floats: the raw query, for a backend that
+     *        scores on its own device instead of with @p qlut.
+     * @param qlut the query's LUT, built once from the source index's
+     *        PQ (vs::buildQuantizedLut).
      * @param clusters global cluster ids, every one resident on this
      *        shard.
-     * @param scratch optional reusable per-thread buffers.
+     * @param scratch the calling thread's reusable scan buffers.
+     * @param topk the query's one TopK. It may already hold hits from
+     *        other buckets, so its k-th best need not lie on the score
+     *        grid of the lists scanned here.
      */
-    virtual std::vector<vs::SearchHit> searchClusters(
-        const float *query, std::size_t k,
-        std::span<const cluster_id_t> clusters,
-        vs::SearchScratch *scratch) const = 0;
+    virtual void scanClusters(const float *query,
+                              const vs::QuantizedLut &qlut,
+                              std::span<const cluster_id_t> clusters,
+                              vs::SearchScratch &scratch,
+                              vs::TopK &topk) const = 0;
 
     /** Bytes of the lists this shard serves (ids + packed codes). */
     virtual std::size_t bytes() const = 0;
@@ -93,7 +103,7 @@ class HotShardBackend
 /**
  * Default backend: a view of the shard's clusters in the source index.
  * It holds a reference to the source plus the shard's cluster count and
- * byte footprint, and scans through the source's searchClusters(), so
+ * byte footprint, and scans through the source's scanClusters(), so
  * building a shard copies no list and its distances are the source's
  * own — the strongest possible form of the parity contract.
  */
@@ -108,10 +118,10 @@ class FastScanShardBackend : public HotShardBackend
     FastScanShardBackend(const vs::IvfPqFastScanIndex &source,
                          std::span<const cluster_id_t> clusters);
 
-    std::vector<vs::SearchHit> searchClusters(
-        const float *query, std::size_t k,
-        std::span<const cluster_id_t> clusters,
-        vs::SearchScratch *scratch) const override;
+    void scanClusters(const float *query, const vs::QuantizedLut &qlut,
+                      std::span<const cluster_id_t> clusters,
+                      vs::SearchScratch &scratch,
+                      vs::TopK &topk) const override;
 
     std::size_t bytes() const override { return bytes_; }
     std::size_t numClusters() const override { return numClusters_; }
@@ -124,11 +134,10 @@ class FastScanShardBackend : public HotShardBackend
 };
 
 /**
- * Test/bench double modelling a slower device: delegates every call to
- * an inner backend and busy-sleeps a fixed delay per searchClusters()
- * call. Results stay bit-identical to the inner backend; only timing
- * changes — which is exactly what repartition-under-load and fan-out
- * concurrency tests need.
+ * Test/bench double modelling a slower device: sleeps a fixed delay
+ * per scanClusters() call, then delegates to an inner backend. Results
+ * stay bit-identical to the inner backend; only timing changes — which
+ * is exactly what repartition-under-load and concurrency tests need.
  */
 class ThrottledShardBackend : public HotShardBackend
 {
@@ -140,10 +149,10 @@ class ThrottledShardBackend : public HotShardBackend
     ThrottledShardBackend(std::unique_ptr<HotShardBackend> inner,
                           double delay_seconds);
 
-    std::vector<vs::SearchHit> searchClusters(
-        const float *query, std::size_t k,
-        std::span<const cluster_id_t> clusters,
-        vs::SearchScratch *scratch) const override;
+    void scanClusters(const float *query, const vs::QuantizedLut &qlut,
+                      std::span<const cluster_id_t> clusters,
+                      vs::SearchScratch &scratch,
+                      vs::TopK &topk) const override;
 
     std::size_t bytes() const override { return inner_->bytes(); }
     std::size_t numClusters() const override { return inner_->numClusters(); }

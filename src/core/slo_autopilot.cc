@@ -194,7 +194,10 @@ SloAutopilot::runControlCycle()
                         static_cast<double>(d_res)
                   : 0.0;
 
-    // 1. Fit Eq. 1 from the window's batches. Scan wall time is
+    // 1. Fit Eq. 1 from the window's batches. Each query's pool task
+    // routes, then builds its LUT and scans its buckets, so a batch's
+    // route and scan samples are its wall time split in proportion to
+    // the tasks' summed route and scan times. The scan sample is
     // normalized by the miss fraction (clamped away from zero) to
     // recover the full-miss T_LUT; the hot-tier shards are assumed
     // off the critical path.

@@ -82,9 +82,11 @@ namespace vlr::core
 struct BatchObservation
 {
     std::size_t batchSize = 0;
-    /** Coarse-quantize + route phase wall seconds (T_CQ sample). */
+    /** Coarse-quantize + route share of the batch wall seconds
+     *  (T_CQ sample; TieredBatchStats::routeSeconds). */
     double routeSeconds = 0.0;
-    /** Scan + merge phase wall seconds (miss-normalized into T_LUT). */
+    /** LUT build + bucket scan share of the batch wall seconds
+     *  (miss-normalized into T_LUT; TieredBatchStats::scanSeconds). */
     double scanSeconds = 0.0;
     /** Work-weighted mean hit rate of the batch. */
     double meanHitRate = 0.0;

@@ -168,10 +168,15 @@ TieredIndex::routeProbes(const Tiers &tiers,
             1, std::memory_order_relaxed);
         const shard_id_t s =
             tiers.assignment.clusterShard[static_cast<std::size_t>(c)];
-        if (s == kCpuShard) {
-            b.coldProbes.push_back(c);
-        } else {
-            b.shardProbes[static_cast<std::size_t>(s)].push_back(c);
+        std::vector<cluster_id_t> &bucket =
+            s == kCpuShard ? b.coldProbes
+                           : b.shardProbes[static_cast<std::size_t>(s)];
+        // The probe list runs nearest first, so a bucket's first probe
+        // is its nearest and the order below is by nearest probe.
+        if (bucket.empty())
+            b.order.push_back(s);
+        bucket.push_back(c);
+        if (s != kCpuShard) {
             stats.shardProbes[static_cast<std::size_t>(s)].fetch_add(
                 1, std::memory_order_relaxed);
             ++b.hotCount;
@@ -206,60 +211,53 @@ TieredIndex::routeProbes(const Tiers &tiers,
 }
 
 std::vector<vs::SearchHit>
-TieredIndex::timedScan(const Tiers &tiers, const float *query,
-                       std::size_t k, shard_id_t shard,
-                       std::span<const cluster_id_t> clusters,
-                       vs::SearchScratch *scratch) const
+TieredIndex::searchOne(const Tiers &tiers, const float *query,
+                       std::size_t k, std::size_t nprobe,
+                       vs::SearchScratch &scratch, TieredQueryStats *qs,
+                       QueryTimes *times) const
 {
     WallTimer timer;
-    // Cold probes go to the pluggable cold backend when one is
-    // configured, otherwise scan the source index in place; both sides
-    // of the choice are bit-identical by the parity contract.
-    std::vector<vs::SearchHit> hits =
-        shard == kCpuShard
-            ? (opts_.coldBackend != nullptr
-                   ? opts_.coldBackend->searchClusters(query, k,
-                                                       clusters, scratch)
-                   : source_.searchClusters(query, k, clusters, nullptr,
-                                            scratch))
-            : tiers.shards[static_cast<std::size_t>(shard)]
-                  ->searchClusters(query, k, clusters, scratch);
-    const double secs = timer.elapsed();
-    StatShard &stats = localStats();
-    if (shard == kCpuShard) {
-        StatShard::ownerAdd(stats.coldScanSeconds, secs);
-        stats.coldScanCounts.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        StatShard::ownerAdd(
-            stats.shardScanSeconds[static_cast<std::size_t>(shard)],
-            secs);
-        stats.shardScanCounts[static_cast<std::size_t>(shard)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
-    return hits;
-}
+    const auto pl = source_.quantizer().probe(query, nprobe);
+    const ProbeBuckets buckets = routeProbes(tiers, pl.clusters, qs);
+    const double route_s = timer.elapsed();
 
-std::vector<vs::SearchHit>
-TieredIndex::scanBuckets(const Tiers &tiers, const float *query,
-                         std::size_t k, const ProbeBuckets &buckets,
-                         vs::SearchScratch *scratch) const
-{
-    std::vector<std::vector<vs::SearchHit>> parts;
-    for (std::size_t s = 0; s < buckets.shardProbes.size(); ++s) {
-        if (buckets.shardProbes[s].empty())
+    // One LUT and one TopK serve every bucket. Buckets are visited by
+    // nearest probe, so near lists fill the heap first and tighten the
+    // k-th bound the far ones are filtered against. The hits do not
+    // depend on the order: TopK keeps the k least under (dist, id).
+    const vs::QuantizedLut qlut =
+        vs::buildQuantizedLut(source_.pq(), query, scratch);
+    vs::TopK topk(k);
+    StatShard &stats = localStats();
+    for (const shard_id_t s : buckets.order) {
+        WallTimer scan_timer;
+        if (s != kCpuShard) {
+            const auto si = static_cast<std::size_t>(s);
+            tiers.shards[si]->scanClusters(query, qlut,
+                                           buckets.shardProbes[si],
+                                           scratch, topk);
+            StatShard::ownerAdd(stats.shardScanSeconds[si],
+                                scan_timer.elapsed());
+            stats.shardScanCounts[si].fetch_add(1,
+                                                std::memory_order_relaxed);
             continue;
-        parts.push_back(timedScan(tiers, query, k,
-                                  static_cast<shard_id_t>(s),
-                                  buckets.shardProbes[s], scratch));
+        }
+        // Cold probes go to the pluggable cold backend when one is
+        // configured, otherwise scan the source index in place; both
+        // sides of the choice are bit-identical by the parity contract.
+        if (opts_.coldBackend != nullptr)
+            opts_.coldBackend->scanClusters(query, qlut, buckets.coldProbes,
+                                            scratch, topk);
+        else
+            source_.scanClusters(qlut, buckets.coldProbes, scratch, topk);
+        StatShard::ownerAdd(stats.coldScanSeconds, scan_timer.elapsed());
+        stats.coldScanCounts.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!buckets.coldProbes.empty())
-        parts.push_back(timedScan(tiers, query, k, kCpuShard,
-                                  buckets.coldProbes, scratch));
-    if (parts.empty())
-        return {};
-    if (parts.size() == 1)
-        return std::move(parts[0]);
-    return vs::mergeHitLists(parts, k);
+    if (times) {
+        times->route = route_s;
+        times->scan = timer.elapsed() - route_s;
+    }
+    return topk.sortedHits();
 }
 
 std::vector<vs::SearchHit>
@@ -269,10 +267,9 @@ TieredIndex::search(const float *query, std::size_t k, std::size_t nprobe,
     // The whole read path runs inside one epoch guard: the snapshot
     // pin is the single acquire load below — no mutex, no refcount.
     EpochGuard guard(epochs_);
-    const Tiers *tiers = currentTiers();
-    const auto pl = source_.quantizer().probe(query, nprobe);
-    const ProbeBuckets buckets = routeProbes(*tiers, pl.clusters, qs);
-    return scanBuckets(*tiers, query, k, buckets, scratch);
+    vs::SearchScratch local;
+    return searchOne(*currentTiers(), query, k, nprobe,
+                     scratch ? *scratch : local, qs, nullptr);
 }
 
 std::vector<std::vector<vs::SearchHit>>
@@ -301,77 +298,28 @@ TieredIndex::searchBatchParallel(std::span<const float> queries,
     // the snapshot cannot be reclaimed while any worker still scans
     // it — workers need no guards of their own.
     EpochGuard guard(epochs_);
-    const Tiers *tiersPtr = currentTiers();
-    const Tiers &tiers = *tiersPtr;
+    const Tiers &tiers = *currentTiers();
     std::vector<std::vector<vs::SearchHit>> out(nq);
     std::vector<TieredQueryStats> qstats(bs ? nq : 0);
-    std::vector<ProbeBuckets> buckets(nq);
+    std::vector<QueryTimes> times(bs ? nq : 0);
 
-    // Phase 1: coarse-quantize and route every query at its own
-    // nprobe (batches may mix per-request probe depths). The phase
-    // wall time is the live T_CQ(b) sample the autopilot fits.
-    WallTimer route_timer;
+    // One task per query: probe, route and scan every bucket at the
+    // query's own nprobe (batches may mix per-request probe depths).
+    WallTimer wall;
     pool.parallelForDynamic(nq, 1, [&](std::size_t i) {
-        const float *q = queries.data() + i * d;
-        const auto pl = source_.quantizer().probe(q, nprobes[i]);
-        buckets[i] =
-            routeProbes(tiers, pl.clusters, bs ? &qstats[i] : nullptr);
-    });
-    const double route_s = route_timer.elapsed();
-    WallTimer scan_timer;
-
-    // Phase 2: flatten every (query, shard) and (query, cold) scan into
-    // an independent pool task, so different queries' shard scans run
-    // concurrently and one slow shard backend cannot serialize the
-    // batch. Slots are assigned in the same shard-ascending-then-cold
-    // order scanBuckets uses, keeping merged results bit-identical to
-    // the serial path.
-    struct ScanTask
-    {
-        std::uint32_t query;
-        shard_id_t shard; // kCpuShard = cold scan on the source
-        std::uint32_t slot;
-    };
-    std::vector<ScanTask> tasks;
-    std::vector<std::vector<std::vector<vs::SearchHit>>> parts(nq);
-    for (std::size_t i = 0; i < nq; ++i) {
-        std::uint32_t slot = 0;
-        for (std::size_t s = 0; s < buckets[i].shardProbes.size(); ++s)
-            if (!buckets[i].shardProbes[s].empty())
-                tasks.push_back({static_cast<std::uint32_t>(i),
-                                 static_cast<shard_id_t>(s), slot++});
-        if (!buckets[i].coldProbes.empty())
-            tasks.push_back(
-                {static_cast<std::uint32_t>(i), kCpuShard, slot++});
-        parts[i].resize(slot);
-    }
-    pool.parallelForDynamic(tasks.size(), 1, [&](std::size_t t) {
         static thread_local vs::SearchScratch scratch;
-        const ScanTask &task = tasks[t];
-        const float *q = queries.data() + task.query * d;
-        const ProbeBuckets &qb = buckets[task.query];
-        parts[task.query][task.slot] = timedScan(
-            tiers, q, k, task.shard,
-            task.shard == kCpuShard
-                ? qb.coldProbes
-                : qb.shardProbes[static_cast<std::size_t>(task.shard)],
-            &scratch);
+        out[i] = searchOne(tiers, queries.data() + i * d, k, nprobes[i],
+                           scratch, bs ? &qstats[i] : nullptr,
+                           bs ? &times[i] : nullptr);
     });
-
-    // Phase 3: per-query merge (cheap: at most shards+1 sorted lists of
-    // length <= k each).
-    for (std::size_t i = 0; i < nq; ++i) {
-        if (parts[i].empty())
-            continue;
-        out[i] = parts[i].size() == 1 ? std::move(parts[i][0])
-                                      : vs::mergeHitLists(parts[i], k);
-    }
+    const double wall_s = wall.elapsed();
 
     if (bs) {
         *bs = {};
         bs->queries = nq;
-        double sum = 0.0;
-        for (const auto &s : qstats) {
+        double sum = 0.0, route_sum = 0.0, scan_sum = 0.0;
+        for (std::size_t i = 0; i < nq; ++i) {
+            const TieredQueryStats &s = qstats[i];
             if (s.hotOnly)
                 ++bs->hotOnlyQueries;
             else if (s.hotProbes == 0)
@@ -380,13 +328,18 @@ TieredIndex::searchBatchParallel(std::span<const float> queries,
                 ++bs->splitQueries;
             sum += s.hitRate;
             bs->minHitRate = std::min(bs->minHitRate, s.hitRate);
+            route_sum += times[i].route;
+            scan_sum += times[i].scan;
         }
         bs->meanHitRate =
             nq == 0 ? 0.0 : sum / static_cast<double>(nq);
         if (nq == 0)
             bs->minHitRate = 0.0;
-        bs->routeSeconds = route_s;
-        bs->scanSeconds = scan_timer.elapsed();
+        // Route and scan overlap across tasks, so split the batch wall
+        // in proportion to the tasks' summed stage times.
+        const double busy = route_sum + scan_sum;
+        bs->routeSeconds = busy > 0.0 ? wall_s * route_sum / busy : 0.0;
+        bs->scanSeconds = wall_s - bs->routeSeconds;
     }
     return out;
 }

@@ -19,6 +19,12 @@
  * tier entirely and the router's work-weighted hit rates come from the
  * same code path the simulator uses.
  *
+ * Each query is served by one function, serially or as one pool task
+ * of a batch: it probes the coarse quantizer, routes the probes into
+ * per-shard and cold buckets, builds its LUT once from the source PQ,
+ * and scans every non-empty bucket on its backend into one TopK,
+ * nearest bucket first.
+ *
  * The read path is lock-free and contention-free: searches pin the
  * current tier snapshot with a single acquire load inside an
  * EpochGuard (epoch.h) instead of a mutex-guarded shared_ptr copy, and
@@ -109,11 +115,17 @@ struct TieredBatchStats
     std::size_t splitQueries = 0;
     double meanHitRate = 0.0;
     double minHitRate = 1.0;
-    /** Wall seconds of the coarse-quantize + route phase — the live
-     *  T_CQ(b) sample the autopilot fits (Eq. 1). */
+    /**
+     * Coarse-quantize + route share of the batch wall time — the live
+     * T_CQ(b) sample the autopilot fits (Eq. 1). Each query's task
+     * routes and then scans, so the stages overlap across tasks; the
+     * batch wall is split in proportion to the tasks' summed route and
+     * scan times, and routeSeconds + scanSeconds is the batch wall.
+     */
     double routeSeconds = 0.0;
-    /** Wall seconds of the parallel scan + merge phase — normalized
-     *  by the batch miss fraction it samples T_LUT(b). */
+    /** LUT build + bucket scan share of the batch wall time, split as
+     *  above — normalized by the batch miss fraction it samples
+     *  T_LUT(b). */
     double scanSeconds = 0.0;
 };
 
@@ -148,17 +160,18 @@ struct TieredStatsSnapshot
     /** Cumulative probes routed to each shard since construction. */
     std::vector<std::size_t> shardProbeCounts;
     /**
-     * Cumulative wall seconds spent inside each shard backend's
-     * searchClusters since construction (one entry per shard). With
-     * shardScanCounts this yields per-shard mean scan latency — the
-     * signal a per-shard executor would balance on.
+     * Cumulative wall seconds of each shard's bucket scans since
+     * construction (one entry per shard), timed around the backend's
+     * scanClusters. With shardScanCounts this yields per-shard mean
+     * scan latency — the signal a per-shard executor would balance on.
      */
     std::vector<double> shardScanSeconds;
-    /** Cumulative searchClusters calls per shard since construction. */
+    /** Cumulative bucket scans per shard since construction: one per
+     *  query holding a probe on the shard. */
     std::vector<std::size_t> shardScanCounts;
-    /** Cumulative wall seconds of cold (source-tier) scans. */
+    /** Cumulative wall seconds of cold bucket scans. */
     double coldScanSeconds = 0.0;
-    /** Cumulative cold scan calls since construction. */
+    /** Cumulative cold bucket scans since construction. */
     std::size_t coldScanCounts = 0;
     /** Cold backend name; empty when cold probes scan the source. */
     std::string coldBackend;
@@ -178,11 +191,11 @@ struct TieredStatsSnapshot
  * Partition-aware retrieval path over a trained IvfPqFastScanIndex.
  *
  * Search results are exactly the single-tier results for any hot set
- * and any shard count: all tiers share the source's coarse quantizer
- * and PQ, backend distances are bit-identical by contract
- * (HotShardBackend), and top-k selection is a total order on
- * (dist, id), so merging per-shard partial top-k lists with the cold
- * scan reproduces the serial scan.
+ * and any shard count: all tiers share the source's coarse quantizer,
+ * every bucket is scored with one LUT built from the source's PQ,
+ * backend distances are bit-identical by contract (HotShardBackend),
+ * and top-k selection is a total order on (dist, id), so scanning the
+ * buckets into one TopK reproduces the serial scan.
  *
  * Thread-safety: search methods are const and may run from any number
  * of threads; repartition() may run concurrently with searches. A
@@ -228,9 +241,9 @@ class TieredIndex
 
     /**
      * Serial tiered search: probe the shared coarse quantizer, route
-     * probes through the pruned router, scan each hot shard holding a
-     * probe and (only if needed) the cold source, merge. Records
-     * per-cluster access counts.
+     * probes through the pruned router, then scan each hot shard
+     * holding a probe and (only if needed) the cold tier into one
+     * TopK. Records per-cluster access counts.
      */
     std::vector<vs::SearchHit> search(const float *query, std::size_t k,
                                       std::size_t nprobe,
@@ -239,11 +252,10 @@ class TieredIndex
 
     /**
      * Batched tiered search across a thread pool; one snapshot serves
-     * the whole batch. Every (query, shard) and (query, cold) scan is
-     * an independent pool task, so different queries' shard scans run
-     * concurrently — a slow shard backend stalls only its own scans,
-     * not the whole batch. Results are bit-identical to per-query
-     * search().
+     * the whole batch. Each query is one pool task running search()'s
+     * per-query function, so a batch pays one fork/join, and a slow
+     * shard backend stalls only the queries holding probes on it.
+     * Results are bit-identical to per-query search().
      */
     std::vector<std::vector<vs::SearchHit>> searchBatchParallel(
         std::span<const float> queries, std::size_t nq, std::size_t k,
@@ -362,7 +374,7 @@ class TieredIndex
         std::unique_ptr<std::atomic<std::uint64_t>[]> shardProbes;
         /** Cumulative wall seconds inside each shard's scans. */
         std::unique_ptr<std::atomic<double>[]> shardScanSeconds;
-        /** Cumulative searchClusters calls per shard. */
+        /** Cumulative bucket scans per shard. */
         std::unique_ptr<std::atomic<std::uint64_t>[]> shardScanCounts;
         std::atomic<double> coldScanSeconds{0.0};
         std::atomic<std::uint64_t> coldScanCounts{0};
@@ -392,7 +404,16 @@ class TieredIndex
         std::vector<std::vector<cluster_id_t>> shardProbes;
         /** Cold (source-tier) probe list. */
         std::vector<cluster_id_t> coldProbes;
+        /** Non-empty buckets by nearest probe (kCpuShard = cold). */
+        std::vector<shard_id_t> order;
         std::size_t hotCount = 0;
+    };
+
+    /** One query's route and scan wall seconds. */
+    struct QueryTimes
+    {
+        double route = 0.0;
+        double scan = 0.0;
     };
 
     /** Current generation; caller must hold an EpochGuard. */
@@ -418,12 +439,18 @@ class TieredIndex
                              std::span<const cluster_id_t> clusters,
                              TieredQueryStats *qs) const;
 
-    /** Scan every non-empty bucket serially and merge. */
-    std::vector<vs::SearchHit> scanBuckets(const Tiers &tiers,
-                                           const float *query,
-                                           std::size_t k,
-                                           const ProbeBuckets &buckets,
-                                           vs::SearchScratch *scratch) const;
+    /**
+     * The one per-query path behind search() and searchBatchParallel():
+     * probe, route, build the LUT once, scan every non-empty bucket
+     * into one TopK (timing each under its shard's or the cold stats)
+     * and return its sorted hits.
+     */
+    std::vector<vs::SearchHit> searchOne(const Tiers &tiers,
+                                         const float *query,
+                                         std::size_t k, std::size_t nprobe,
+                                         vs::SearchScratch &scratch,
+                                         TieredQueryStats *qs,
+                                         QueryTimes *times) const;
 
     const vs::IvfPqFastScanIndex &source_;
     TieredOptions opts_;
@@ -437,14 +464,6 @@ class TieredIndex
     std::atomic<const Tiers *> tiers_;
     /** Reclamation domain for displaced placement generations. */
     mutable EpochManager epochs_;
-
-    /** Time one bucket scan and record it under shard/cold stats. */
-    std::vector<vs::SearchHit> timedScan(const Tiers &tiers,
-                                         const float *query,
-                                         std::size_t k, shard_id_t shard,
-                                         std::span<const cluster_id_t>
-                                             clusters,
-                                         vs::SearchScratch *scratch) const;
 
     /** Per-thread statistics shards (merged by drain/stats). */
     mutable PerThread<StatShard> statShards_;

@@ -20,7 +20,6 @@
 #include "simgpu/gpu_device.h"
 #include "simgpu/gpu_spec.h"
 #include "simgpu/search_cost.h"
-#include "vecsearch/eval.h"
 #include "vecsearch/fastscan.h"
 #include "vecsearch/flat_index.h"
 #include "vecsearch/ivf.h"

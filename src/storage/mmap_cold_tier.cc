@@ -160,17 +160,23 @@ MmapColdTier::searchClusters(const float *query, std::size_t k,
                              std::span<const cluster_id_t> clusters,
                              vs::SearchScratch *scratch) const
 {
-    const std::size_t m = pq_.numSub();
     vs::SearchScratch local;
     vs::SearchScratch &sc = scratch ? *scratch : local;
-    sc.lut.resize(pq_.lutSize());
-    pq_.computeLut(query, sc.lut.data());
-    const vs::QuantizedLut qlut = vs::quantizeLut(m, sc.lut);
+    const vs::QuantizedLut qlut = vs::buildQuantizedLut(pq_, query, sc);
+    vs::TopK topk(k);
+    scanClusters(query, qlut, clusters, sc, topk);
+    return topk.sortedHits();
+}
 
+void
+MmapColdTier::scanClusters(const float *, const vs::QuantizedLut &qlut,
+                           std::span<const cluster_id_t> clusters,
+                           vs::SearchScratch &sc, vs::TopK &topk) const
+{
+    const std::size_t m = pq_.numSub();
     // Mapped segments and in-RAM deltas go through the same
     // vs::scanPackedList loop as the in-memory index, which is what
     // keeps the cold tier's distances bit-identical to it.
-    vs::TopK topk(k);
     std::shared_lock lock(stateMutex_);
     for (const cluster_id_t c : clusters) {
         const auto ci = static_cast<std::size_t>(c);
@@ -192,7 +198,6 @@ MmapColdTier::searchClusters(const float *query, std::size_t k,
                                    delta.packed.data(), qlut, sc, topk);
         }
     }
-    return topk.sortedHits();
 }
 
 std::size_t

@@ -23,6 +23,12 @@
  * atomic rename) and remaps; whoever owns the tier calls it on its own
  * maintenance schedule. Scans never block on a merge except for two
  * brief pointer swaps.
+ *
+ * Gap: behind a TieredIndex this tier serves only the cold probes, and
+ * hot shards view the in-memory source index, which append() and
+ * mergeDeltas() never touch. So a vector that append() adds to a hot
+ * cluster is not served while that cluster stays hot; it becomes
+ * visible once a repartition sends the cluster cold.
  */
 
 #ifndef VLR_STORAGE_MMAP_COLD_TIER_H
@@ -64,12 +70,13 @@ struct MmapColdTierOptions
  * memory-mapped IndexStore artifact, with in-RAM delta lists for
  * streaming ingestion.
  *
- * Thread safety: searchClusters(), append(), mergeDeltas() and every
- * stats accessor may be called concurrently from any threads. Scans
- * take a shared lock for their whole duration; append() and the two
- * state swaps inside mergeDeltas() take the exclusive side briefly.
- * Merges are serialized among themselves. The artifact file must not
- * be modified externally while the tier is open.
+ * Thread safety: scanClusters(), searchClusters(), append(),
+ * mergeDeltas() and every stats accessor may be called concurrently
+ * from any threads. Scans take a shared lock for their whole duration;
+ * append() and the two state swaps inside mergeDeltas() take the
+ * exclusive side briefly. Merges are serialized among themselves. The
+ * artifact file must not be modified externally while the tier is
+ * open.
  */
 class MmapColdTier : public core::HotShardBackend
 {
@@ -85,10 +92,25 @@ class MmapColdTier : public core::HotShardBackend
     MmapColdTier(const MmapColdTier &) = delete;
     MmapColdTier &operator=(const MmapColdTier &) = delete;
 
+    /**
+     * Scan the mapped segment and the delta lists of each of
+     * @p clusters into @p topk with the caller's LUT, which must come
+     * from the PQ the artifact was saved with.
+     */
+    void scanClusters(const float *query, const vs::QuantizedLut &qlut,
+                      std::span<const cluster_id_t> clusters,
+                      vs::SearchScratch &scratch,
+                      vs::TopK &topk) const override;
+
+    /**
+     * Standalone search: build the query's LUT from the artifact's PQ,
+     * scanClusters() into a fresh TopK of @p k, return its hits sorted
+     * by (dist, id).
+     */
     std::vector<vs::SearchHit> searchClusters(
         const float *query, std::size_t k,
         std::span<const cluster_id_t> clusters,
-        vs::SearchScratch *scratch) const override;
+        vs::SearchScratch *scratch) const;
 
     /** Bytes served: mapped list segments + in-RAM delta lists. */
     std::size_t bytes() const override;

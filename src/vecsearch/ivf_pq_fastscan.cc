@@ -163,6 +163,15 @@ scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
     }
 }
 
+QuantizedLut
+buildQuantizedLut(const ProductQuantizer &pq, const float *query,
+                  SearchScratch &sc)
+{
+    sc.lut.resize(pq.lutSize());
+    pq.computeLut(query, sc.lut.data());
+    return quantizeLut(pq.numSub(), sc.lut);
+}
+
 IvfPqFastScanIndex::IvfPqFastScanIndex(
     std::shared_ptr<const FlatCoarseQuantizer> cq, std::size_t m)
     : cq_(std::move(cq)), pq_(cq_->dim(), m, 4)
@@ -259,31 +268,36 @@ IvfPqFastScanIndex::searchClusters(const float *query, std::size_t k,
                                    SearchBreakdown *bd,
                                    SearchScratch *scratch) const
 {
-    const std::size_t m = pq_.numSub();
-
     SearchScratch local;
     SearchScratch &sc = scratch ? *scratch : local;
 
     WallTimer t;
-    sc.lut.resize(pq_.lutSize());
-    pq_.computeLut(query, sc.lut.data());
-    const QuantizedLut qlut = quantizeLut(m, sc.lut);
+    const QuantizedLut qlut = buildQuantizedLut(pq_, query, sc);
     if (bd)
         bd->lutBuildSeconds += t.elapsed();
 
     t.reset();
     TopK topk(k);
+    scanClusters(qlut, clusters, sc, topk);
+    if (bd)
+        bd->scanSeconds += t.elapsed();
+    return topk.sortedHits();
+}
+
+void
+IvfPqFastScanIndex::scanClusters(const QuantizedLut &qlut,
+                                 std::span<const cluster_id_t> clusters,
+                                 SearchScratch &scratch, TopK &topk) const
+{
+    const std::size_t m = pq_.numSub();
     for (const cluster_id_t c : clusters) {
         const auto ci = static_cast<std::size_t>(c);
         assert(ci < ids_.size());
         const auto &list_ids = ids_[ci];
         if (!list_ids.empty())
             scanPackedList(m, list_ids.data(), list_ids.size(),
-                           packed_[ci].data(), qlut, sc, topk);
+                           packed_[ci].data(), qlut, scratch, topk);
     }
-    if (bd)
-        bd->scanSeconds += t.elapsed();
-    return topk.sortedHits();
 }
 
 std::vector<std::vector<SearchHit>>

@@ -71,6 +71,14 @@ void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
                     SearchScratch &sc, TopK &topk);
 
 /**
+ * Build @p query's float LUT with @p pq into sc.lut and quantize it:
+ * the one LUT every list a query scans is scored with, whichever index,
+ * shard or mapped tier holds the list.
+ */
+QuantizedLut buildQuantizedLut(const ProductQuantizer &pq,
+                               const float *query, SearchScratch &sc);
+
+/**
  * IVF + PQ4 fast-scan index. PQ must use nbits = 4 and at most
  * kMaxFastScanSub sub-quantizers; the constructor and fromParts() call
  * fatal() otherwise. Distances returned are the uint8-LUT
@@ -121,6 +129,17 @@ class IvfPqFastScanIndex
         std::span<const cluster_id_t> clusters,
         SearchBreakdown *bd = nullptr,
         SearchScratch *scratch = nullptr) const;
+
+    /**
+     * Scan @p clusters into a caller-owned @p topk with a prepared
+     * LUT: the list loop behind searchClusters(). @p qlut must come
+     * from this index's PQ (buildQuantizedLut). @p topk may already
+     * hold hits from other lists; it keeps the k least hits under the
+     * (dist, id) order whatever order the lists arrive in.
+     */
+    void scanClusters(const QuantizedLut &qlut,
+                      std::span<const cluster_id_t> clusters,
+                      SearchScratch &scratch, TopK &topk) const;
 
     std::vector<std::vector<SearchHit>> searchBatch(
         std::span<const float> queries, std::size_t nq, std::size_t k,

@@ -44,15 +44,4 @@ TopK::sortedHits() const
     return out;
 }
 
-std::vector<SearchHit>
-mergeHitLists(std::span<const std::vector<SearchHit>> lists, std::size_t k)
-{
-    TopK topk(k);
-    for (const auto &list : lists) {
-        for (const auto &h : list)
-            topk.push(h.id, h.dist);
-    }
-    return topk.sortedHits();
-}
-
 } // namespace vlr::vs

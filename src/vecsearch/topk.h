@@ -1,13 +1,12 @@
 /**
  * @file
- * Bounded top-k selection (smaller distance = better) and result merging.
+ * Bounded top-k selection (smaller distance = better).
  */
 
 #ifndef VLR_VECSEARCH_TOPK_H
 #define VLR_VECSEARCH_TOPK_H
 
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -104,10 +103,6 @@ class TopK
     std::size_t k_;
     std::vector<SearchHit> heap_; // max-heap under hitLess
 };
-
-/** Merge several sorted hit lists into the k best overall. */
-std::vector<SearchHit> mergeHitLists(
-    std::span<const std::vector<SearchHit>> lists, std::size_t k);
 
 } // namespace vlr::vs
 

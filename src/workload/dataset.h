@@ -17,6 +17,7 @@
 #define VLR_WORKLOAD_DATASET_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 

@@ -138,6 +138,26 @@ struct StoreFixture : public ::testing::Test
         return order;
     }
 
+    /**
+     * Serial and 4-thread batch tiered search both match the in-memory
+     * index's serial search.
+     */
+    void
+    expectServesLikeIndex(const core::TieredIndex &tiered,
+                          const char *what) const
+    {
+        ThreadPool pool(4);
+        const auto batched =
+            tiered.searchBatchParallel(queries_, nq_, k_, nprobe_, pool);
+        ASSERT_EQ(batched.size(), nq_) << what;
+        for (std::size_t i = 0; i < nq_; ++i) {
+            const float *q = queries_.data() + i * d_;
+            const auto expected = index_->search(q, k_, nprobe_);
+            expectHitsEq(tiered.search(q, k_, nprobe_), expected, what);
+            expectHitsEq(batched[i], expected, what);
+        }
+    }
+
     const std::size_t n_ = 3000;
     const std::size_t d_ = 16;
     const std::size_t m_ = 8;
@@ -265,12 +285,7 @@ TEST_F(StoreFixture, MmapParityAcrossCoverageAndShards)
             opts.numShards = shards;
             opts.coldBackend = &tier;
             core::TieredIndex tiered(*index_, topBySize(count), opts);
-            for (std::size_t i = 0; i < nq_; ++i) {
-                const float *q = queries_.data() + i * d_;
-                expectHitsEq(tiered.search(q, k_, nprobe_),
-                             index_->search(q, k_, nprobe_),
-                             "mmap tiered parity");
-            }
+            expectServesLikeIndex(tiered, "mmap tiered parity");
         }
     }
 }
@@ -339,6 +354,13 @@ TEST_F(StoreFixture, AppendMatchesInMemoryAdd)
                                             &scratch),
                      "delta parity");
     }
+
+    // Served through a rho = 0 tier, every probe scans the mapped
+    // segments and the delta lists with the tier's prepared LUT.
+    core::TieredOptions opts;
+    opts.coldBackend = &tier;
+    core::TieredIndex tiered(*index_, {}, opts);
+    expectServesLikeIndex(tiered, "delta tiered parity");
 }
 
 TEST_F(StoreFixture, MergeDeltasFoldsIntoTheArtifact)

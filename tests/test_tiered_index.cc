@@ -108,6 +108,28 @@ struct TieredFixture : public ::testing::Test
         }
     }
 
+    /** searchBatchParallel on @p pool matches flat serial search. */
+    void
+    expectBatchParity(const TieredIndex &tiered, ThreadPool &pool,
+                      TieredBatchStats *bs = nullptr) const
+    {
+        const auto batched = tiered.searchBatchParallel(
+            queries_, nq_, k_, nprobe_, pool, bs);
+        ASSERT_EQ(batched.size(), nq_);
+        for (std::size_t i = 0; i < nq_; ++i) {
+            const auto expected =
+                index_->search(queries_.data() + i * d_, k_, nprobe_);
+            ASSERT_EQ(batched[i].size(), expected.size())
+                << "query " << i;
+            for (std::size_t j = 0; j < expected.size(); ++j) {
+                EXPECT_EQ(batched[i][j].id, expected[j].id)
+                    << "query " << i << " rank " << j;
+                EXPECT_EQ(batched[i][j].dist, expected[j].dist)
+                    << "query " << i << " rank " << j;
+            }
+        }
+    }
+
     const std::size_t n_ = 3000;
     const std::size_t d_ = 16;
     const std::size_t m_ = 8;
@@ -134,11 +156,17 @@ TEST_F(TieredFixture, ShardViewScansTheSourceLists)
     EXPECT_EQ(shard.bytes(), expected_bytes);
     EXPECT_EQ(shard.numClusters(), hot.size());
 
-    // Scanning the shard's clusters returns bit-identical hits.
+    // Scanning the shard's clusters with a prepared LUT returns
+    // bit-identical hits.
+    vs::SearchScratch scratch;
     for (std::size_t i = 0; i < 8; ++i) {
         const float *q = queries_.data() + i * d_;
         const auto a = index_->searchClusters(q, k_, hot);
-        const auto b = shard.searchClusters(q, k_, hot, nullptr);
+        const vs::QuantizedLut qlut =
+            vs::buildQuantizedLut(index_->pq(), q, scratch);
+        vs::TopK topk(k_);
+        shard.scanClusters(q, qlut, hot, scratch, topk);
+        const auto b = topk.sortedHits();
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t j = 0; j < a.size(); ++j) {
             EXPECT_EQ(a[j].id, b[j].id);
@@ -163,31 +191,24 @@ TEST_F(TieredFixture, ParityAcrossCoverages)
 TEST_F(TieredFixture, ParallelBatchMatchesSerialTiered)
 {
     TieredIndex tiered(*index_, topBySize(nlist_ / 4));
-    const std::size_t threads = 4;
-    ThreadPool pool(threads);
+    ThreadPool pool(4);
     TieredBatchStats bs;
-    const auto batched = tiered.searchBatchParallel(
-        queries_, nq_, k_, nprobe_, pool, &bs);
-    ASSERT_EQ(batched.size(), nq_);
+    expectBatchParity(tiered, pool, &bs);
     EXPECT_EQ(bs.queries, nq_);
     EXPECT_EQ(bs.hotOnlyQueries + bs.coldOnlyQueries + bs.splitQueries,
               nq_);
-    for (std::size_t i = 0; i < nq_; ++i) {
-        const auto expected =
-            index_->search(queries_.data() + i * d_, k_, nprobe_);
-        ASSERT_EQ(batched[i].size(), expected.size()) << "query " << i;
-        for (std::size_t j = 0; j < expected.size(); ++j) {
-            EXPECT_EQ(batched[i][j].id, expected[j].id);
-            EXPECT_EQ(batched[i][j].dist, expected[j].dist);
-        }
-    }
+    // The route and scan shares split the batch wall between them.
+    EXPECT_GT(bs.routeSeconds, 0.0);
+    EXPECT_GT(bs.scanSeconds, 0.0);
 }
 
 TEST_F(TieredFixture, PerQueryNprobeBatchMatchesSerialTiered)
 {
     // Heterogeneous probe depths in one batch (the deadline-aware
     // dispatcher's batch shape) must reproduce per-request serial
-    // tiered searches bit for bit, at multiple shard counts.
+    // tiered searches bit for bit, at multiple shard counts. Both run
+    // one per-query function, so each query is also checked against
+    // the flat index, which a bug shared by the two would not pass.
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
         TieredIndex tiered(*index_, topBySize(nlist_ / 4),
                            TieredOptions{shards, {}});
@@ -198,15 +219,18 @@ TEST_F(TieredFixture, PerQueryNprobeBatchMatchesSerialTiered)
         const auto batched = tiered.searchBatchParallel(
             queries_, nq_, k_, nprobes, pool);
         for (std::size_t i = 0; i < nq_; ++i) {
-            const auto expected = tiered.search(
-                queries_.data() + i * d_, k_, nprobes[i]);
-            ASSERT_EQ(batched[i].size(), expected.size())
-                << "shards " << shards << " query " << i;
-            for (std::size_t j = 0; j < expected.size(); ++j) {
-                EXPECT_EQ(batched[i][j].id, expected[j].id)
+            const float *q = queries_.data() + i * d_;
+            const auto serial = tiered.search(q, k_, nprobes[i]);
+            const auto flat = index_->search(q, k_, nprobes[i]);
+            for (const auto *expected : {&serial, &flat}) {
+                ASSERT_EQ(batched[i].size(), expected->size())
                     << "shards " << shards << " query " << i;
-                EXPECT_EQ(batched[i][j].dist, expected[j].dist)
-                    << "shards " << shards << " query " << i;
+                for (std::size_t j = 0; j < expected->size(); ++j) {
+                    EXPECT_EQ(batched[i][j].id, (*expected)[j].id)
+                        << "shards " << shards << " query " << i;
+                    EXPECT_EQ(batched[i][j].dist, (*expected)[j].dist)
+                        << "shards " << shards << " query " << i;
+                }
             }
         }
     }
@@ -233,9 +257,10 @@ TEST_F(TieredFixture, StatsTrackPerShardScanLatency)
         EXPECT_LE(s.shardScanCounts[sh], s.shardProbeCounts[sh])
             << "shard " << sh;
     }
-    // Cold scans accounted the same way.
+    // Cold scans accounted the same way: one cold bucket scan per
+    // query that is not hot-only.
+    EXPECT_EQ(s.coldScanCounts, s.queries - s.hotOnlyQueries);
     if (s.totalProbes > s.hotProbes) {
-        EXPECT_GT(s.coldScanCounts, 0u);
         EXPECT_GT(s.coldScanSeconds, 0.0);
     }
 }
@@ -459,12 +484,14 @@ TEST_F(TieredFixture, ParityWhenPq4CodesCollapse)
 {
     // Points within 1e-4 of the centers share one PQ4 code per center,
     // so nearly every scanned lane ties the k-th best and ids alone
-    // decide the top-k, inside each shard and in the merge across them.
+    // decide the top-k, across every bucket scanned into the query's
+    // one TopK, serially and in batches.
     Rng rng(43);
     buildIndex(rng, 1e-4);
     const auto hits = index_->search(queries_.data(), k_, nprobe_);
     ASSERT_EQ(hits.size(), k_);
     ASSERT_EQ(hits.front().dist, hits.back().dist);
+    ThreadPool pool(4);
     for (const std::size_t shards : {1ul, 2ul, 3ul}) {
         for (const double rho : {0.25, 0.5, 1.0}) {
             const auto count = static_cast<std::size_t>(
@@ -473,6 +500,7 @@ TEST_F(TieredFixture, ParityWhenPq4CodesCollapse)
             opts.numShards = shards;
             TieredIndex tiered(*index_, topBySize(count), opts);
             expectParity(tiered, k_, nprobe_);
+            expectBatchParity(tiered, pool);
             EXPECT_TRUE(tiered.search(queries_.data(), 0, nprobe_).empty());
         }
     }
@@ -554,20 +582,9 @@ TEST_F(TieredFixture, MultiShardParallelBatchMatchesSerial)
     TieredIndex tiered(*index_, topBySize(nlist_ / 2), opts);
     ThreadPool pool(4);
     TieredBatchStats bs;
-    const auto batched = tiered.searchBatchParallel(
-        queries_, nq_, k_, nprobe_, pool, &bs);
-    ASSERT_EQ(batched.size(), nq_);
+    expectBatchParity(tiered, pool, &bs);
     EXPECT_EQ(bs.hotOnlyQueries + bs.coldOnlyQueries + bs.splitQueries,
               nq_);
-    for (std::size_t i = 0; i < nq_; ++i) {
-        const auto expected =
-            index_->search(queries_.data() + i * d_, k_, nprobe_);
-        ASSERT_EQ(batched[i].size(), expected.size()) << "query " << i;
-        for (std::size_t j = 0; j < expected.size(); ++j) {
-            EXPECT_EQ(batched[i][j].id, expected[j].id);
-            EXPECT_EQ(batched[i][j].dist, expected[j].dist);
-        }
-    }
 }
 
 TEST_F(TieredFixture, ThrottledShardsStayCorrectUnderRepartition)

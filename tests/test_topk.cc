@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for bounded top-k selection and hit-list merging.
+ * Tests for bounded top-k selection.
  */
 
 #include <algorithm>
@@ -177,74 +177,6 @@ TEST(TopK, ZeroCapacityKeepsNothing)
     EXPECT_EQ(t.worst(), -std::numeric_limits<float>::infinity());
     EXPECT_EQ(t.worstId(), kInvalidIdx);
     EXPECT_TRUE(t.sortedHits().empty());
-}
-
-// --- mergeHitLists ----------------------------------------------------
-
-TEST(MergeHits, MergesDisjointLists)
-{
-    std::vector<std::vector<SearchHit>> lists = {
-        {{1, 1.f}, {3, 3.f}},
-        {{2, 2.f}, {4, 4.f}},
-    };
-    const auto merged = mergeHitLists(lists, 3);
-    ASSERT_EQ(merged.size(), 3u);
-    EXPECT_EQ(merged[0].id, 1);
-    EXPECT_EQ(merged[1].id, 2);
-    EXPECT_EQ(merged[2].id, 3);
-}
-
-TEST(MergeHits, HandlesEmptyLists)
-{
-    std::vector<std::vector<SearchHit>> lists = {
-        {},
-        {{5, 0.5f}},
-        {},
-    };
-    const auto merged = mergeHitLists(lists, 4);
-    ASSERT_EQ(merged.size(), 1u);
-    EXPECT_EQ(merged[0].id, 5);
-}
-
-TEST(MergeHits, TruncatesToK)
-{
-    std::vector<std::vector<SearchHit>> lists = {
-        {{1, 1.f}, {2, 2.f}, {3, 3.f}},
-        {{4, 1.5f}, {5, 2.5f}},
-    };
-    const auto merged = mergeHitLists(lists, 2);
-    ASSERT_EQ(merged.size(), 2u);
-    EXPECT_EQ(merged[0].id, 1);
-    EXPECT_EQ(merged[1].id, 4);
-}
-
-TEST(MergeHits, ZeroKMergesToNothing)
-{
-    std::vector<std::vector<SearchHit>> lists = {{{1, 1.f}}, {{2, 0.f}}};
-    EXPECT_TRUE(mergeHitLists(lists, 0).empty());
-}
-
-TEST(MergeHits, EquivalentToTopKOverUnion)
-{
-    Rng rng(7);
-    std::vector<std::vector<SearchHit>> lists(4);
-    TopK ref(10);
-    idx_t id = 0;
-    for (auto &list : lists) {
-        TopK local(50);
-        for (int i = 0; i < 50; ++i) {
-            const float d = static_cast<float>(rng.uniform());
-            local.push(id, d);
-            ref.push(id, d);
-            ++id;
-        }
-        list = local.sortedHits();
-    }
-    const auto merged = mergeHitLists(lists, 10);
-    const auto expect = ref.sortedHits();
-    ASSERT_EQ(merged.size(), expect.size());
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        EXPECT_EQ(merged[i], expect[i]);
 }
 
 } // namespace
