@@ -25,10 +25,12 @@
  * the readers share cores with it, and scaling then measures the
  * scheduler rather than the read path. Reader counts are therefore
  * gated only up to max(1, hw - 1); the full-machine row is printed but
- * not gated. Each point is the best of three timed runs of
- * num_queries_per_reader queries per reader (smoke: 5000): on a shared
- * or virtualized host a few-millisecond window measures vCPU wake-up
- * and single-core turbo rather than the read path, and that noise only
+ * not gated. Each timed run is num_queries_per_reader queries per
+ * reader (smoke: 5000). Timing goes in rounds: each round times every
+ * reader count once, flat then tiered, and each point is the best of
+ * five rounds. On a shared or virtualized host a slow minute (steal,
+ * vCPU wake-up, single-core turbo) then slows every reader count
+ * alike instead of the few runs of one count, and that noise only
  * ever slows a run down.
  *
  * Writes BENCH_contention.json next to the binary for trend archiving.
@@ -54,46 +56,41 @@
 namespace
 {
 
-/** Timed runs per point; the point reports the fastest. */
-constexpr int kRuns = 3;
+/** Timing rounds; each point reports its fastest round. */
+constexpr int kRounds = 5;
 
 /**
  * Run @p readers threads, each calling @p searchOne(reader, i) for i
- * in [0, queries_per_reader), and return aggregate queries/second —
- * the best of kRuns runs. Each run's clock starts only once every
- * reader is spinning on the start flag, so the window covers
- * concurrent execution only, not thread start-up.
+ * in [0, queries_per_reader), and return aggregate queries/second of
+ * the run. The clock starts only once every reader is spinning on the
+ * start flag, so the window covers concurrent execution only, not
+ * thread start-up.
  */
 template <typename SearchOne>
 double
 runReaders(std::size_t readers, std::size_t queries_per_reader,
            const SearchOne &searchOne)
 {
-    double best = 0.0;
-    for (int run = 0; run < kRuns; ++run) {
-        std::atomic<bool> start{false};
-        std::atomic<std::size_t> ready{0};
-        std::vector<std::thread> threads;
-        threads.reserve(readers);
-        for (std::size_t r = 0; r < readers; ++r)
-            threads.emplace_back([&, r] {
-                ready.fetch_add(1, std::memory_order_release);
-                while (!start.load(std::memory_order_acquire)) {
-                }
-                for (std::size_t i = 0; i < queries_per_reader; ++i)
-                    searchOne(r, i);
-            });
-        while (ready.load(std::memory_order_acquire) < readers)
-            std::this_thread::yield();
-        vlr::WallTimer wall;
-        start.store(true, std::memory_order_release);
-        for (auto &t : threads)
-            t.join();
-        best = std::max(best, static_cast<double>(readers *
-                                                  queries_per_reader) /
-                                  wall.elapsed());
-    }
-    return best;
+    std::atomic<bool> start{false};
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    threads.reserve(readers);
+    for (std::size_t r = 0; r < readers; ++r)
+        threads.emplace_back([&, r] {
+            ready.fetch_add(1, std::memory_order_release);
+            while (!start.load(std::memory_order_acquire)) {
+            }
+            for (std::size_t i = 0; i < queries_per_reader; ++i)
+                searchOne(r, i);
+        });
+    while (ready.load(std::memory_order_acquire) < readers)
+        std::this_thread::yield();
+    vlr::WallTimer wall;
+    start.store(true, std::memory_order_release);
+    for (auto &t : threads)
+        t.join();
+    return static_cast<double>(readers * queries_per_reader) /
+           wall.elapsed();
 }
 
 } // namespace
@@ -176,13 +173,11 @@ main(int argc, char **argv)
         double flatQps = 0.0;
         double tieredQps = 0.0;
         double scaling = 0.0;   // tieredQps / (N * tieredQps@1)
-        std::size_t churns = 0; // repartitions completed in the window
+        std::size_t churns = 0; // repartitions completed in the windows
         bool gated = false;
         bool pass = false;
     };
-    std::vector<Row> rows;
     const double min_scaling = 0.7;
-    double tiered_qps_1 = 0.0;
     bool gate_ok = true;
 
     TextTable t({"readers", "flat QPS", "tiered QPS", "scaling",
@@ -190,54 +185,66 @@ main(int argc, char **argv)
     const auto hot_a = profile.hotClusters(rho);
     const auto hot_b = profile.hotClusters(rho / 2.0);
 
-    for (const std::size_t n : reader_counts) {
-        // Flat baseline: per-thread scratch, no shared mutable state.
-        std::vector<vs::SearchScratch> flat_scratch(n);
-        const double flat_qps =
-            runReaders(n, queries_per_reader, [&](std::size_t r,
-                                                  std::size_t i) {
-                index.search(query_at(r, i), k, spec.nprobe, nullptr,
-                             &flat_scratch[r]);
-            });
+    std::vector<Row> rows(reader_counts.size());
+    for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t ri = 0; ri < reader_counts.size(); ++ri) {
+            const std::size_t n = reader_counts[ri];
+            Row &row = rows[ri];
+            row.readers = n;
 
-        // Tiered under churn: repartition + drain continuously while
-        // the readers run.
-        std::atomic<bool> stop_churn{false};
-        std::atomic<std::size_t> churns{0};
-        std::thread churn([&] {
-            bool flip = false;
-            while (!stop_churn.load(std::memory_order_acquire)) {
-                tiered.repartition(flip ? hot_b : hot_a);
-                flip = !flip;
-                tiered.drainAccessCounts();
-                churns.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-        std::vector<vs::SearchScratch> tiered_scratch(n);
-        const double tiered_qps =
-            runReaders(n, queries_per_reader, [&](std::size_t r,
-                                                  std::size_t i) {
-                tiered.search(query_at(r, i), k, spec.nprobe,
-                              &tiered_scratch[r]);
-            });
-        stop_churn.store(true, std::memory_order_release);
-        churn.join();
+            // Flat baseline: per-thread scratch, no shared mutable
+            // state.
+            std::vector<vs::SearchScratch> flat_scratch(n);
+            row.flatQps = std::max(
+                row.flatQps,
+                runReaders(n, queries_per_reader,
+                           [&](std::size_t r, std::size_t i) {
+                               index.search(query_at(r, i), k, spec.nprobe,
+                                            nullptr, &flat_scratch[r]);
+                           }));
 
-        if (n == reader_counts.front())
-            tiered_qps_1 = tiered_qps;
-        const double scaling =
-            tiered_qps / (static_cast<double>(n) * tiered_qps_1);
-        const bool gated = n <= max_gated;
-        const bool pass = scaling >= min_scaling;
-        if (gated)
-            gate_ok = gate_ok && pass;
-        rows.push_back({n, flat_qps, tiered_qps, scaling,
-                        churns.load(), gated, pass});
-        t.addRow({std::to_string(n), TextTable::num(flat_qps, 0),
-                  TextTable::num(tiered_qps, 0),
-                  TextTable::num(scaling, 2),
-                  std::to_string(churns.load()),
-                  !gated ? "-" : pass ? "ok" : "FAIL"});
+            // Tiered under churn: repartition + drain continuously
+            // while the readers run.
+            std::atomic<bool> stop_churn{false};
+            std::atomic<std::size_t> churns{0};
+            std::thread churn([&] {
+                bool flip = false;
+                while (!stop_churn.load(std::memory_order_acquire)) {
+                    tiered.repartition(flip ? hot_b : hot_a);
+                    flip = !flip;
+                    tiered.drainAccessCounts();
+                    churns.fetch_add(1, std::memory_order_relaxed);
+                }
+            });
+            std::vector<vs::SearchScratch> tiered_scratch(n);
+            row.tieredQps = std::max(
+                row.tieredQps,
+                runReaders(n, queries_per_reader,
+                           [&](std::size_t r, std::size_t i) {
+                               tiered.search(query_at(r, i), k,
+                                             spec.nprobe,
+                                             &tiered_scratch[r]);
+                           }));
+            stop_churn.store(true, std::memory_order_release);
+            churn.join();
+            row.churns += churns.load();
+        }
+    }
+
+    const double tiered_qps_1 = rows.front().tieredQps;
+    for (Row &row : rows) {
+        row.scaling = row.tieredQps /
+                      (static_cast<double>(row.readers) * tiered_qps_1);
+        row.gated = row.readers <= max_gated;
+        row.pass = row.scaling >= min_scaling;
+        if (row.gated)
+            gate_ok = gate_ok && row.pass;
+        t.addRow({std::to_string(row.readers),
+                  TextTable::num(row.flatQps, 0),
+                  TextTable::num(row.tieredQps, 0),
+                  TextTable::num(row.scaling, 2),
+                  std::to_string(row.churns),
+                  !row.gated ? "-" : row.pass ? "ok" : "FAIL"});
     }
     t.print(std::cout);
 
@@ -247,7 +254,9 @@ main(int argc, char **argv)
                  "retirement) and drains access counts; 'churns' counts "
                  "the\nrepartition+drain cycles completed inside the "
                  "measurement windows. Each QPS\nis the best of "
-              << kRuns << " timed runs. The gate requires scaling >= "
+              << kRounds
+              << " timing rounds, each of which times every reader count"
+                 ".\nThe gate requires scaling >= "
               << TextTable::num(min_scaling, 2)
               << "\nat every reader count up to " << max_gated
               << " (one core left for the churn thread); the\n"

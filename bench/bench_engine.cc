@@ -58,8 +58,9 @@ main(int argc, char **argv)
     index.addPreassigned(dataset.vectors(), spec.numVectors,
                          dataset.assignments());
     std::cout << "index: " << index.size() << " vectors, dim "
-              << index.dim() << ", nlist " << index.nlist() << ", simd "
-              << (vs::fastScanHasSimd() ? "avx2" : "scalar") << "\n";
+              << index.dim() << ", nlist " << index.nlist()
+              << ", fast-scan kernel "
+              << vs::fastScanKernelName(vs::servingFastScanKernel()) << "\n";
 
     wl::QueryGenerator gen(dataset, 123);
     const auto queries = gen.generate(n_queries);
@@ -153,7 +154,7 @@ main(int argc, char **argv)
         w.kv("numQueries", n_queries);
         w.kv("numVectors", spec.numVectors);
         w.kv("dim", spec.dim);
-        w.kv("simd", vs::fastScanHasSimd());
+        w.kv("kernel", vs::fastScanKernelName(vs::servingFastScanKernel()));
         w.key("threadSweep");
         w.beginArray();
         for (const SweepRow &r : rows) {

@@ -211,7 +211,8 @@ main(int argc, char **argv)
 
     std::cout << "index: " << baseline.size() << " vectors, dim "
               << baseline.dim() << ", nlist " << baseline.nlist()
-              << ", simd " << (vs::fastScanHasSimd() ? "avx2" : "scalar")
+              << ", fast-scan kernel "
+              << vs::fastScanKernelName(vs::servingFastScanKernel())
               << "\nartifact: " << artifact_path << " ("
               << std::filesystem::file_size(artifact_path)
               << " bytes)\n\n";
@@ -317,7 +318,7 @@ main(int argc, char **argv)
         w.kv("numVectors", spec.numVectors);
         w.kv("dim", spec.dim);
         w.kv("nlist", spec.numClusters);
-        w.kv("simd", vs::fastScanHasSimd());
+        w.kv("kernel", vs::fastScanKernelName(vs::servingFastScanKernel()));
         w.kv("cachedArtifact", cached);
         w.kv("artifactBytes",
              static_cast<std::size_t>(

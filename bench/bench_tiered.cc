@@ -67,8 +67,9 @@ main(int argc, char **argv)
     index.addPreassigned(dataset.vectors(), spec.numVectors,
                          dataset.assignments());
     std::cout << "index: " << index.size() << " vectors, dim "
-              << index.dim() << ", nlist " << index.nlist() << ", simd "
-              << (vs::fastScanHasSimd() ? "avx2" : "scalar")
+              << index.dim() << ", nlist " << index.nlist()
+              << ", fast-scan kernel "
+              << vs::fastScanKernelName(vs::servingFastScanKernel())
               << ", query zipf " << spec.queryZipf << "\n\n";
 
     // --- calibration: profile access skew, fit the hit-rate model ---
@@ -325,7 +326,7 @@ main(int argc, char **argv)
         w.kv("numQueries", n_queries);
         w.kv("numVectors", spec.numVectors);
         w.kv("dim", spec.dim);
-        w.kv("simd", vs::fastScanHasSimd());
+        w.kv("kernel", vs::fastScanKernelName(vs::servingFastScanKernel()));
         w.key("flat");
         w.beginObject();
         w.kv("qps", flat_qps);

@@ -88,8 +88,8 @@ main()
 
     std::cout << "index: " << n << " x " << dim << " vectors, nlist "
               << nlist << ", PQ" << m << "x4, nprobe " << nprobe
-              << (vs::fastScanHasSimd() ? ", AVX2 kernels\n"
-                                        : ", scalar kernels\n")
+              << ", " << vs::fastScanKernelName(vs::servingFastScanKernel())
+              << " fast-scan kernel\n"
               << '\n';
 
     TextTable left({"batch", "IVF (ms)", "IVF-FS (ms)",

@@ -4,10 +4,13 @@
  * distance computation, coarse quantization, ADC LUT construction,
  * plain ADC scanning, PQ4 fast scanning and the per-list scan plus
  * top-k. These back the Fig. 3 claim that fast scan out-throughputs
- * plain ADC by a wide margin on the same codes.
+ * plain ADC by a wide margin on the same codes. The fast-scan benches
+ * run once per kernel the host runs (BM_FastScan/<kernel>/m:16, ...),
+ * at m = 8 and at the served workloads' m = 16.
  */
 
 #include <algorithm>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -138,21 +141,24 @@ BM_AdcScan(benchmark::State &state)
 BENCHMARK(BM_AdcScan);
 
 void
-BM_FastScan(benchmark::State &state)
+BM_FastScan(benchmark::State &state, FastScanKernel kernel)
 {
-    const std::size_t n = 8192, m = 8;
+    const std::size_t n = 8192;
+    const auto m = static_cast<std::size_t>(state.range(0));
     PqSetup s(m, 4, n);
     const auto packed = packPq4Codes(m, s.codes, n);
     const auto qlut = quantizeLut(m, s.lut);
     const std::size_t nblocks = packed.size() / packedBlockBytes(m);
     std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
-    for (auto _ : state)
-        scanPq4Blocks(m, packed.data(), nblocks, qlut, scores.data());
+    for (auto _ : state) {
+        scanPq4Blocks(kernel, m, packed.data(), nblocks, qlut,
+                      scores.data());
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * n));
-    state.SetLabel(fastScanHasSimd() ? "avx2" : "scalar");
 }
-BENCHMARK(BM_FastScan);
 
 /**
  * The per-list scan plus top-k (vs::scanPackedList) at k = 10 over the
@@ -162,10 +168,11 @@ BENCHMARK(BM_FastScan);
  * lane ties the k-th best and is settled by its id.
  */
 void
-BM_ListScanTopK(benchmark::State &state)
+BM_ListScanTopK(benchmark::State &state, FastScanKernel kernel)
 {
-    const std::size_t n = 8192, m = 8;
-    const bool ties = state.range(0) != 0;
+    const std::size_t n = 8192;
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const bool ties = state.range(1) != 0;
     PqSetup s(m, 4, n);
     if (ties)
         for (std::size_t i = 1; i < n; ++i)
@@ -180,32 +187,34 @@ BM_ListScanTopK(benchmark::State &state)
     SearchScratch scratch;
     for (auto _ : state) {
         TopK topk(10);
-        scanPackedList(m, ids.data(), n, packed.data(), qlut, scratch,
-                       topk);
+        scanPackedList(kernel, m, ids.data(), n, packed.data(), qlut,
+                       scratch, topk);
         benchmark::DoNotOptimize(topk.worst());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * n));
-    state.SetLabel(fastScanHasSimd() ? "avx2" : "scalar");
 }
-BENCHMARK(BM_ListScanTopK)->ArgName("ties")->Arg(0)->Arg(1);
 
+/** Register the fast-scan benches once per kernel this host runs. */
 void
-BM_FastScanScalarReference(benchmark::State &state)
+registerKernelBenches()
 {
-    const std::size_t n = 8192, m = 8;
-    PqSetup s(m, 4, n);
-    const auto packed = packPq4Codes(m, s.codes, n);
-    const auto qlut = quantizeLut(m, s.lut);
-    const std::size_t nblocks = packed.size() / packedBlockBytes(m);
-    std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
-    for (auto _ : state)
-        scanPq4BlocksScalar(m, packed.data(), nblocks, qlut,
-                            scores.data());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * n));
+    for (const FastScanKernel kernel : fastScanKernels()) {
+        const std::string name = fastScanKernelName(kernel);
+        benchmark::RegisterBenchmark(("BM_FastScan/" + name).c_str(),
+                                     BM_FastScan, kernel)
+            ->ArgName("m")
+            ->Arg(8)
+            ->Arg(16);
+        benchmark::RegisterBenchmark(("BM_ListScanTopK/" + name).c_str(),
+                                     BM_ListScanTopK, kernel)
+            ->ArgNames({"m", "ties"})
+            ->Args({8, 0})
+            ->Args({8, 1})
+            ->Args({16, 0})
+            ->Args({16, 1});
+    }
 }
-BENCHMARK(BM_FastScanScalarReference);
 
 void
 BM_TopKPush(benchmark::State &state)
@@ -227,4 +236,14 @@ BENCHMARK(BM_TopKPush);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    registerKernelBenches();
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

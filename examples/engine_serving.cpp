@@ -52,7 +52,7 @@ main(int argc, char **argv)
                          dataset.assignments());
     std::cout << "index: " << index.size() << " vectors, "
               << index.nlist() << " lists, "
-              << (vs::fastScanHasSimd() ? "AVX2" : "scalar")
+              << vs::fastScanKernelName(vs::servingFastScanKernel())
               << " fast-scan\n";
 
     // 2. One fluent chain builds the engine: dispatcher policy,

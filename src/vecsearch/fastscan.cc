@@ -1,6 +1,7 @@
 #include "vecsearch/fastscan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -178,12 +179,77 @@ scanPq4BlocksScalar(std::size_t m, const std::uint8_t *packed,
     }
 }
 
+namespace
+{
+
+/** Lanes the scalar and AVX2 list scans test against the k-th best at once. */
+constexpr std::size_t kBoundGroup = 16;
+
+/**
+ * The k-th best hit (wd, wid) of a full TopK as score thresholds:
+ * bound is the largest score whose distance is <= wd and below the
+ * largest whose distance is < wd, each -1 when no score qualifies.
+ */
+struct KthBest
+{
+    int bound;
+    int below;
+    idx_t wid;
+};
+
+KthBest
+kthBest(const QuantizedLut &qlut, const TopK &topk)
+{
+    const float wd = topk.worst();
+    return {qlut.scoreBound(wd),
+            qlut.scoreBound(std::nextafter(
+                wd, -std::numeric_limits<float>::infinity())),
+            topk.worstId()};
+}
+
+/**
+ * The scalar kernel of scanListByGroups. Masks set bit 2j for lane j of
+ * a 16-lane group: the layout of AVX2's byte movemask of uint16 lanes.
+ */
+struct ScalarGroups
+{
+    static void
+    score(std::size_t m, const std::uint8_t *packed, std::size_t nblocks,
+          const QuantizedLut &lut, std::uint16_t *out)
+    {
+        scanPq4BlocksScalar(m, packed, nblocks, lut, out);
+    }
+
+    /** Mask of the 16 scores at @p s that are <= @p bound (>= 0). */
+    static std::uint32_t
+    lanesAtMost(const std::uint16_t *s, int bound)
+    {
+        std::uint32_t mask = 0;
+        for (std::size_t j = 0; j < kBoundGroup; ++j)
+            mask |= static_cast<std::uint32_t>(s[j] <= bound) << (2 * j);
+        return mask;
+    }
+
+    /**
+     * Mask of the first @p n (<= 16) ids at @p id that are below
+     * @p wid. Only those n ids are read.
+     */
+    static std::uint32_t
+    idsBelow(const idx_t *id, std::size_t n, idx_t wid)
+    {
+        std::uint32_t mask = 0;
+        for (std::size_t j = 0; j < n; ++j)
+            mask |= static_cast<std::uint32_t>(id[j] < wid) << (2 * j);
+        return mask;
+    }
+};
+
 #ifdef VLR_USE_AVX2
 
 void
-scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
-              std::size_t nblocks, const QuantizedLut &lut,
-              std::uint16_t *out)
+scanPq4BlocksAvx2(std::size_t m, const std::uint8_t *packed,
+                  std::size_t nblocks, const QuantizedLut &lut,
+                  std::uint16_t *out)
 {
     const std::size_t bb = packedBlockBytes(m);
     const __m256i low_mask = _mm256_set1_epi8(0x0F);
@@ -230,28 +296,412 @@ scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
     }
 }
 
+/** The AVX2 kernel of scanListByGroups, in ScalarGroups' mask layout. */
+struct Avx2Groups
+{
+    static void
+    score(std::size_t m, const std::uint8_t *packed, std::size_t nblocks,
+          const QuantizedLut &lut, std::uint16_t *out)
+    {
+        scanPq4BlocksAvx2(m, packed, nblocks, lut, out);
+    }
+
+    static std::uint32_t
+    lanesAtMost(const std::uint16_t *s, int bound)
+    {
+        const __m256i v =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(s));
+        const __m256i b = _mm256_set1_epi16(static_cast<short>(bound));
+        const __m256i le = _mm256_cmpeq_epi16(_mm256_min_epu16(v, b), v);
+        return static_cast<std::uint32_t>(_mm256_movemask_epi8(le)) &
+               0x55555555u;
+    }
+
+    static std::uint32_t
+    idsBelow(const idx_t *id, std::size_t n, idx_t wid)
+    {
+        if (n < kBoundGroup)
+            return ScalarGroups::idsBelow(id, n, wid);
+        const __m256i w = _mm256_set1_epi64x(wid);
+        const auto lt = [&](std::size_t o) {
+            return _mm256_cmpgt_epi64(
+                w, _mm256_loadu_si256(
+                       reinterpret_cast<const __m256i *>(id + o)));
+        };
+        // Narrow the four 64-bit lane masks to one 16-bit lane each.
+        // The packs interleave 128-bit halves, so lanes come out in
+        // the order 0 1 4 5 8 9 12 13 2 3 6 7 ...; the permute of
+        // 32-bit pairs restores 0..15.
+        const __m256i packed = _mm256_packs_epi16(
+            _mm256_packs_epi32(lt(0), lt(4)),
+            _mm256_packs_epi32(lt(8), lt(12)));
+        const __m256i lanes = _mm256_permutevar8x32_epi32(
+            packed, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+        return static_cast<std::uint32_t>(_mm256_movemask_epi8(lanes)) &
+               0x55555555u;
+    }
+};
+
+// The AVX-512BW kernel. Its functions carry their own target, so the
+// AVX2 build holds it and a CPU check picks it at run time. They hold
+// no lambdas: a lambda's body would not inherit the target.
+#define VLR_AVX512BW __attribute__((target("avx512f,avx512bw")))
+
+/**
+ * Add sub-quantizers s..s+3 of a block to the four accumulators.
+ * @p codes holds their code bytes and @p rows their LUT rows, one
+ * sub-quantizer per 128-bit lane, so each lane's byte shuffle looks up
+ * its own row. acc0 and acc1 take the low nibbles (vectors 0..7 and
+ * 8..15), acc2 and acc3 the high ones (16..23 and 24..31), each lane
+ * summing the sub-quantizers of its position mod 4.
+ */
+VLR_AVX512BW inline void
+addFourSubQuantizers(__m512i codes, __m512i rows, __m512i &acc0,
+                     __m512i &acc1, __m512i &acc2, __m512i &acc3)
+{
+    const __m512i nibble = _mm512_set1_epi8(0x0F);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i lo =
+        _mm512_shuffle_epi8(rows, _mm512_and_si512(codes, nibble));
+    const __m512i hi = _mm512_shuffle_epi8(
+        rows, _mm512_and_si512(_mm512_srli_epi16(codes, 4), nibble));
+    acc0 = _mm512_add_epi16(acc0, _mm512_unpacklo_epi8(lo, zero));
+    acc1 = _mm512_add_epi16(acc1, _mm512_unpackhi_epi8(lo, zero));
+    acc2 = _mm512_add_epi16(acc2, _mm512_unpacklo_epi8(hi, zero));
+    acc3 = _mm512_add_epi16(acc3, _mm512_unpackhi_epi8(hi, zero));
+}
+
+/**
+ * One block's 32 scores in lane order: the four 128-bit lanes of each
+ * accumulator summed, as a 4x4 transpose of 128-bit lanes done by
+ * shuffles and adds. uint16 adds wrap, so any summation order gives
+ * the scalar kernel's integers. The all-ones zero-masking shuffle is
+ * the plain instruction; GCC 12 flags the unmasked intrinsic's
+ * undefined merge source with -Wmaybe-uninitialized.
+ */
+VLR_AVX512BW inline __m512i
+sumLanes(__m512i acc0, __m512i acc1, __m512i acc2, __m512i acc3)
+{
+    constexpr __mmask8 kAll = 0xFF;
+    // Lanes (x0 + x2, x1 + x3, y0 + y2, y1 + y3) of accumulators x, y.
+    const __m512i lo01 = _mm512_add_epi16(
+        _mm512_maskz_shuffle_i64x2(kAll, acc0, acc1, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm512_maskz_shuffle_i64x2(kAll, acc0, acc1,
+                                   _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m512i hi23 = _mm512_add_epi16(
+        _mm512_maskz_shuffle_i64x2(kAll, acc2, acc3, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm512_maskz_shuffle_i64x2(kAll, acc2, acc3,
+                                   _MM_SHUFFLE(3, 2, 3, 2)));
+    return _mm512_add_epi16(
+        _mm512_maskz_shuffle_i64x2(kAll, lo01, hi23, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm512_maskz_shuffle_i64x2(kAll, lo01, hi23,
+                                   _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/** Scores of the block at @p block under the m rows at @p lut. */
+VLR_AVX512BW inline __m512i
+scoreBlockAvx512(std::size_t m, const std::uint8_t *block,
+                 const std::uint8_t *lut)
+{
+    __m512i acc0 = _mm512_setzero_si512();
+    __m512i acc1 = acc0, acc2 = acc0, acc3 = acc0;
+    std::size_t s = 0;
+    for (; s + 4 <= m; s += 4)
+        addFourSubQuantizers(_mm512_loadu_si512(block + s * 16),
+                             _mm512_loadu_si512(lut + s * 16), acc0, acc1,
+                             acc2, acc3);
+    if (s < m) {
+        // The m mod 4 tail: zero-masked loads read only its rows, and
+        // the zeroed LUT lanes add nothing.
+        const __mmask64 rows = ~std::uint64_t{0} >> (64 - 16 * (m - s));
+        addFourSubQuantizers(_mm512_maskz_loadu_epi8(rows, block + s * 16),
+                             _mm512_maskz_loadu_epi8(rows, lut + s * 16),
+                             acc0, acc1, acc2, acc3);
+    }
+    return sumLanes(acc0, acc1, acc2, acc3);
+}
+
+VLR_AVX512BW void
+scanPq4BlocksAvx512(std::size_t m, const std::uint8_t *packed,
+                    std::size_t nblocks, const QuantizedLut &lut,
+                    std::uint16_t *out)
+{
+    const std::size_t bb = packedBlockBytes(m);
+    for (std::size_t b = 0; b < nblocks; ++b)
+        _mm512_storeu_si512(out + b * kFastScanBlock,
+                            scoreBlockAvx512(m, packed + b * bb,
+                                             lut.table.data()));
+}
+
+/**
+ * Mask of the lanes in @p lanes whose id at @p id is below @p wid.
+ * Only those lanes' ids are read.
+ */
+VLR_AVX512BW inline __mmask32
+idsBelowAvx512(const idx_t *id, __mmask32 lanes, idx_t wid)
+{
+    const __m512i w = _mm512_set1_epi64(wid);
+    __mmask32 below = 0;
+    for (unsigned q = 0; q < 4; ++q) {
+        const auto k = static_cast<__mmask8>(lanes >> (8 * q));
+        const __m512i v = _mm512_maskz_loadu_epi64(k, id + 8 * q);
+        below |= static_cast<__mmask32>(
+                     _mm512_mask_cmplt_epi64_mask(k, v, w))
+                 << (8 * q);
+    }
+    return below;
+}
+
+/** scanPackedList on the AVX-512BW kernel: one block at a time. */
+VLR_AVX512BW void
+scanListAvx512(std::size_t m, const idx_t *ids, std::size_t count,
+               const std::uint8_t *packed, const QuantizedLut &qlut,
+               TopK &topk)
+{
+    const std::size_t bb = packedBlockBytes(m);
+    const std::size_t nblocks =
+        (count + kFastScanBlock - 1) / kFastScanBlock;
+    const std::uint8_t *lut = qlut.table.data();
+    // Scores of the block being pushed from, stored only for pushes.
+    alignas(64) std::uint16_t stored[kFastScanBlock];
+
+    std::size_t i = 0;
+    for (; i < count && !topk.full(); ++i) {
+        if (i % kFastScanBlock == 0)
+            _mm512_store_si512(
+                stored, scoreBlockAvx512(
+                            m, packed + i / kFastScanBlock * bb, lut));
+        topk.push(ids[i], qlut.distance(stored[i % kFastScanBlock]));
+    }
+    if (i == count)
+        return;
+
+    // topk is full: a lane can enter only if it scores at most the
+    // bound.
+    KthBest kth = kthBest(qlut, topk);
+    if (kth.bound < 0)
+        return;
+    __m512i bound = _mm512_set1_epi16(static_cast<short>(kth.bound));
+    __m512i below = _mm512_set1_epi16(static_cast<short>(kth.below));
+    // Lanes before i were pushed above; lanes from count on are padding.
+    __mmask32 keep = ~0u << (i % kFastScanBlock);
+    for (std::size_t b = i / kFastScanBlock; b < nblocks; ++b, keep = ~0u) {
+        const std::size_t base = b * kFastScanBlock;
+        if (count - base < kFastScanBlock)
+            keep &= ~0u >> (kFastScanBlock - (count - base));
+        const __m512i scores = scoreBlockAvx512(m, packed + b * bb, lut);
+        __mmask32 mask = _mm512_mask_cmple_epu16_mask(keep, scores, bound);
+        if (mask == 0)
+            continue;
+        // Lanes in the tie band (below, bound] enter only with an id
+        // below wid.
+        const __mmask32 closer =
+            kth.below < 0 ? 0
+                          : _mm512_mask_cmple_epu16_mask(mask, scores, below);
+        if (mask != closer)
+            mask = closer |
+                   idsBelowAvx512(ids + base, mask & ~closer, kth.wid);
+        if (mask == 0)
+            continue;
+        _mm512_store_si512(stored, scores);
+        for (; mask != 0; mask &= mask - 1) {
+            const auto j = static_cast<std::size_t>(std::countr_zero(mask));
+            // Each push tightens the k-th best past lanes masked with
+            // the previous one; accepts() settles them exactly.
+            const float dist = qlut.distance(stored[j]);
+            if (!topk.accepts(ids[base + j], dist))
+                continue;
+            topk.push(ids[base + j], dist);
+            kth = kthBest(qlut, topk);
+            if (kth.bound < 0)
+                return;
+            bound = _mm512_set1_epi16(static_cast<short>(kth.bound));
+            below = _mm512_set1_epi16(static_cast<short>(kth.below));
+        }
+    }
+}
+
+#undef VLR_AVX512BW
+
+#endif // VLR_USE_AVX2
+
+/**
+ * scanPackedList on a whole-list kernel: score every block into
+ * sc.scores, then test 16-lane groups against the k-th best.
+ */
+template <typename Groups>
+void
+scanListByGroups(std::size_t m, const idx_t *ids, std::size_t count,
+                 const std::uint8_t *packed, const QuantizedLut &qlut,
+                 SearchScratch &sc, TopK &topk)
+{
+    const std::size_t nblocks =
+        (count + kFastScanBlock - 1) / kFastScanBlock;
+    if (sc.scores.size() < nblocks * kFastScanBlock)
+        sc.scores.resize(nblocks * kFastScanBlock);
+    Groups::score(m, packed, nblocks, qlut, sc.scores.data());
+    const std::uint16_t *scores = sc.scores.data();
+
+    std::size_t i = 0;
+    for (; i < count && !topk.full(); ++i)
+        topk.push(ids[i], qlut.distance(scores[i]));
+    if (i == count)
+        return;
+
+    // topk is full: a lane can enter only if it scores at most the
+    // bound. Groups start on a multiple of 16, so every score load
+    // stays inside the whole blocks scored above.
+    KthBest kth = kthBest(qlut, topk);
+    if (kth.bound < 0)
+        return;
+    std::size_t g = i / kBoundGroup * kBoundGroup;
+    const std::size_t last = (count - 1) / kBoundGroup * kBoundGroup;
+    // Lanes before i were pushed above; lanes from count on are padding.
+    std::uint32_t keep = ~0u << (2 * (i - g));
+    const std::uint32_t tail = ~0u >> (2 * (last + kBoundGroup - count));
+    for (; g <= last; g += kBoundGroup, keep = ~0u) {
+        std::uint32_t mask = Groups::lanesAtMost(scores + g, kth.bound) & keep;
+        if (mask == 0)
+            continue;
+        if (g == last)
+            mask &= tail;
+        // Lanes in the tie band (below, bound] enter only with an id
+        // below wid.
+        const std::uint32_t closer =
+            kth.below < 0 ? 0 : Groups::lanesAtMost(scores + g, kth.below);
+        if ((mask & ~closer) != 0)
+            mask &= closer | Groups::idsBelow(ids + g,
+                                              std::min(kBoundGroup, count - g),
+                                              kth.wid);
+        for (; mask != 0; mask &= mask - 1) {
+            const std::size_t j =
+                g + static_cast<std::size_t>(std::countr_zero(mask)) / 2;
+            // Each push tightens the k-th best past lanes masked with
+            // the previous one; accepts() settles them exactly.
+            const float dist = qlut.distance(scores[j]);
+            if (!topk.accepts(ids[j], dist))
+                continue;
+            topk.push(ids[j], dist);
+            kth = kthBest(qlut, topk);
+            if (kth.bound < 0)
+                return;
+        }
+    }
+}
+
+#ifndef NDEBUG
+bool
+hostRuns(FastScanKernel kernel)
+{
+    const auto kernels = fastScanKernels();
+    return std::find(kernels.begin(), kernels.end(), kernel) !=
+           kernels.end();
+}
+#endif
+
+} // namespace
+
+const char *
+fastScanKernelName(FastScanKernel kernel)
+{
+    switch (kernel) {
+    case FastScanKernel::Scalar:
+        return "scalar";
+    case FastScanKernel::Avx2:
+        return "avx2";
+    case FastScanKernel::Avx512bw:
+        return "avx512bw";
+    }
+    return "unknown";
+}
+
+std::span<const FastScanKernel>
+fastScanKernels()
+{
+    static const std::vector<FastScanKernel> kernels = [] {
+        std::vector<FastScanKernel> k = {FastScanKernel::Scalar};
+#ifdef VLR_USE_AVX2
+        k.push_back(FastScanKernel::Avx2);
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx512f") &&
+            __builtin_cpu_supports("avx512bw"))
+            k.push_back(FastScanKernel::Avx512bw);
+#endif
+        return k;
+    }();
+    return kernels;
+}
+
+FastScanKernel
+servingFastScanKernel()
+{
+    return fastScanKernels().back();
+}
+
 bool
 fastScanHasSimd()
 {
-    return true;
+    return servingFastScanKernel() != FastScanKernel::Scalar;
 }
-
-#else
 
 void
 scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
               std::size_t nblocks, const QuantizedLut &lut,
               std::uint16_t *out)
 {
-    scanPq4BlocksScalar(m, packed, nblocks, lut, out);
+    scanPq4Blocks(servingFastScanKernel(), m, packed, nblocks, lut, out);
 }
 
-bool
-fastScanHasSimd()
+void
+scanPq4Blocks(FastScanKernel kernel, std::size_t m,
+              const std::uint8_t *packed, std::size_t nblocks,
+              const QuantizedLut &lut, std::uint16_t *out)
 {
-    return false;
+    assert(hostRuns(kernel));
+    switch (kernel) {
+#ifdef VLR_USE_AVX2
+    case FastScanKernel::Avx512bw:
+        scanPq4BlocksAvx512(m, packed, nblocks, lut, out);
+        return;
+    case FastScanKernel::Avx2:
+        scanPq4BlocksAvx2(m, packed, nblocks, lut, out);
+        return;
+#endif
+    default:
+        scanPq4BlocksScalar(m, packed, nblocks, lut, out);
+        return;
+    }
 }
 
-#endif // VLR_USE_AVX2
+void
+scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
+               const std::uint8_t *packed, const QuantizedLut &qlut,
+               SearchScratch &sc, TopK &topk)
+{
+    scanPackedList(servingFastScanKernel(), m, ids, count, packed, qlut, sc,
+                   topk);
+}
+
+void
+scanPackedList(FastScanKernel kernel, std::size_t m, const idx_t *ids,
+               std::size_t count, const std::uint8_t *packed,
+               const QuantizedLut &qlut, SearchScratch &sc, TopK &topk)
+{
+    assert(hostRuns(kernel));
+    switch (kernel) {
+#ifdef VLR_USE_AVX2
+    case FastScanKernel::Avx512bw:
+        scanListAvx512(m, ids, count, packed, qlut, topk);
+        return;
+    case FastScanKernel::Avx2:
+        scanListByGroups<Avx2Groups>(m, ids, count, packed, qlut, sc, topk);
+        return;
+#endif
+    default:
+        scanListByGroups<ScalarGroups>(m, ids, count, packed, qlut, sc,
+                                       topk);
+        return;
+    }
+}
 
 } // namespace vlr::vs

@@ -2,9 +2,11 @@
  * @file
  * PQ4 fast-scan kernels (Andre et al., VLDB 2016): 4-bit PQ codes are
  * packed into register-friendly blocks of 32 vectors and the ADC lookup
- * table is quantized to uint8 so 32 table lookups run as one AVX2
- * byte-shuffle. This is the "IVF-FS" configuration the paper adopts for
- * its CPU tier (Section II-B, Fig. 3).
+ * table is quantized to uint8, so table lookups run as SIMD byte
+ * shuffles: 16 per 128-bit lane, one sub-quantizer's row per lane. The
+ * AVX2 kernel scores one sub-quantizer of a block per shuffle pair, the
+ * AVX-512BW kernel four. This is the "IVF-FS" configuration the paper
+ * adopts for its CPU tier (Section II-B, Fig. 3).
  *
  * Layout: for each block of 32 codes and each sub-quantizer m, 16 bytes
  * are stored; byte j holds the 4-bit code of vector j in its low nibble
@@ -17,6 +19,9 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "common/types.h"
+#include "vecsearch/topk.h"
 
 namespace vlr::vs
 {
@@ -98,20 +103,117 @@ void appendPq4Codes(std::size_t m, std::vector<std::uint8_t> &packed,
 QuantizedLut quantizeLut(std::size_t m, std::span<const float> lut);
 
 /**
- * Scan packed blocks, producing one uint16 score per code lane.
+ * A fast-scan implementation. Every kernel scores a lane to the same
+ * integer, so the hits of a search do not depend on which one runs.
+ */
+enum class FastScanKernel
+{
+    /** Portable C++: every build, every host. */
+    Scalar,
+    /** Built with VLR_USE_AVX2. */
+    Avx2,
+    /**
+     * Built with VLR_USE_AVX2 (its functions carry their own target
+     * attribute); runs only where the CPU has AVX-512BW.
+     */
+    Avx512bw,
+};
+
+/** "scalar", "avx2" or "avx512bw". */
+const char *fastScanKernelName(FastScanKernel kernel);
+
+/**
+ * The kernels this build can run on this CPU, slowest first: scalar,
+ * then avx2 when built, then avx512bw when the CPU also has AVX-512BW.
+ * The CPU is checked once per process.
+ */
+std::span<const FastScanKernel> fastScanKernels();
+
+/** The kernel every search runs: the last of fastScanKernels(). */
+FastScanKernel servingFastScanKernel();
+
+/** True when the serving kernel is a SIMD one (AVX2 is compiled in). */
+bool fastScanHasSimd();
+
+/**
+ * Scan packed blocks, producing one uint16 score per code lane, with
+ * the serving kernel.
  * @param out must hold nblocks * 32 entries.
  */
 void scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
                    std::size_t nblocks, const QuantizedLut &lut,
                    std::uint16_t *out);
 
+/** scanPq4Blocks with @p kernel, one of fastScanKernels(). */
+void scanPq4Blocks(FastScanKernel kernel, std::size_t m,
+                   const std::uint8_t *packed, std::size_t nblocks,
+                   const QuantizedLut &lut, std::uint16_t *out);
+
 /** Scalar reference producing bit-identical scores to the SIMD path. */
 void scanPq4BlocksScalar(std::size_t m, const std::uint8_t *packed,
                          std::size_t nblocks, const QuantizedLut &lut,
                          std::uint16_t *out);
 
-/** True when the AVX2 kernel is compiled in. */
-bool fastScanHasSimd();
+/**
+ * Reusable per-thread buffers for fast-scan searches. Passing one in
+ * avoids re-allocating the LUT and score buffers on every query; a
+ * default-constructed scratch is grown on first use.
+ */
+struct SearchScratch
+{
+    std::vector<float> lut;
+    std::vector<std::uint16_t> scores;
+};
+
+/**
+ * Score one packed inverted list with the serving kernel and push the
+ * lanes that enter @p topk. This is the one scan+top-k loop behind
+ * every fast-scan list reader — IvfPqFastScanIndex and the storage
+ * layer's memory-mapped cold tier — so their distances are
+ * bit-identical by construction. @p ids holds the list's @p count
+ * vector ids in scan order and @p packed its whole fast-scan blocks.
+ *
+ * Lanes are pushed until @p topk is full. After that, the k-th best hit
+ * (wd, wid) splits the scores into three bands:
+ *  - up to below = scoreBound(nextafter(wd, -inf)): distance < wd;
+ *  - in (below, bound = scoreBound(wd)]: distance == wd;
+ *  - above bound: distance > wd.
+ * Lanes are tested in groups with SIMD compares. A lane passes if it
+ * scores at most below, or lies in the tie band with an id below wid.
+ * Every passing lane is confirmed by TopK::accepts, and only accepted
+ * lanes are pushed and refresh bound, below and wid.
+ *
+ * The scalar and AVX2 kernels score the whole list into sc.scores
+ * (grown as needed) and then test 16-lane groups, settling a tie band
+ * with four 64-bit id compares. The AVX-512BW kernel scores one block
+ * at a time and tests it in mask registers: an unsigned compare with
+ * bound gives the lane mask and one with below the tie band, which
+ * masked id loads and compares settle. A block's scores leave the
+ * register only when a lane survives, and sc.scores is not used.
+ *
+ * The filter is exact. QuantizedLut::distance is monotone in the score,
+ * so the bands pass precisely the lanes TopK keeps once full: d < wd,
+ * or d == wd and id < wid. (A LUT whose map is not monotone gets both
+ * bounds 65535, and accepts() decides every lane.) accepts() also
+ * settles lanes masked before a push tightened the k-th best. The hits
+ * therefore equal those of pushing every lane, bit for bit. A lane
+ * scoring bound is not always a tie: when wd lies off the score grid
+ * (a heap filled from another list or LUT), distance(bound) < wd, and
+ * the lane enters whatever its id.
+ *
+ * Scores are padded to whole blocks but @p ids is not: the id test of a
+ * partial last group reads only the ids before @p count, which in the
+ * cold tier lie inside the mapped file.
+ */
+void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
+                    const std::uint8_t *packed, const QuantizedLut &qlut,
+                    SearchScratch &sc, TopK &topk);
+
+/** scanPackedList with @p kernel, one of fastScanKernels(). */
+void scanPackedList(FastScanKernel kernel, std::size_t m, const idx_t *ids,
+                    std::size_t count, const std::uint8_t *packed,
+                    const QuantizedLut &qlut, SearchScratch &sc,
+                    TopK &topk);
 
 } // namespace vlr::vs
 

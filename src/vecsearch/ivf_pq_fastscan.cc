@@ -1,167 +1,12 @@
 #include "vecsearch/ivf_pq_fastscan.h"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cmath>
-#include <limits>
-
-#ifdef VLR_USE_AVX2
-#include <immintrin.h>
-#endif
 
 #include "common/log.h"
 #include "common/timer.h"
 
 namespace vlr::vs
 {
-
-namespace
-{
-
-/** Lanes tested against the k-th best at once. */
-constexpr std::size_t kBoundGroup = 16;
-
-/**
- * Mask of the 16 scores at @p s that are <= @p bound, none when it is
- * negative: bit 2j is set for lane j (movemask's two bits per uint16
- * lane, low bit kept).
- */
-std::uint32_t
-lanesAtMost(const std::uint16_t *s, int bound)
-{
-    if (bound < 0)
-        return 0;
-#ifdef VLR_USE_AVX2
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(s));
-    const __m256i b = _mm256_set1_epi16(static_cast<short>(bound));
-    const __m256i le = _mm256_cmpeq_epi16(_mm256_min_epu16(v, b), v);
-    return static_cast<std::uint32_t>(_mm256_movemask_epi8(le)) &
-           0x55555555u;
-#else
-    std::uint32_t mask = 0;
-    for (std::size_t j = 0; j < kBoundGroup; ++j)
-        mask |= static_cast<std::uint32_t>(s[j] <= bound) << (2 * j);
-    return mask;
-#endif
-}
-
-/**
- * Mask, in lanesAtMost's layout, of the first @p n (<= 16) ids at
- * @p id that are below @p wid. Only those n ids are read.
- */
-std::uint32_t
-idsBelow(const idx_t *id, std::size_t n, idx_t wid)
-{
-#ifdef VLR_USE_AVX2
-    if (n == kBoundGroup) {
-        const __m256i w = _mm256_set1_epi64x(wid);
-        const auto lt = [&](std::size_t o) {
-            return _mm256_cmpgt_epi64(
-                w, _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i *>(id + o)));
-        };
-        // Narrow the four 64-bit lane masks to one 16-bit lane each.
-        // The packs interleave 128-bit halves, so lanes come out in
-        // the order 0 1 4 5 8 9 12 13 2 3 6 7 ...; the permute of
-        // 32-bit pairs restores 0..15.
-        const __m256i packed = _mm256_packs_epi16(
-            _mm256_packs_epi32(lt(0), lt(4)),
-            _mm256_packs_epi32(lt(8), lt(12)));
-        const __m256i lanes = _mm256_permutevar8x32_epi32(
-            packed, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-        return static_cast<std::uint32_t>(_mm256_movemask_epi8(lanes)) &
-               0x55555555u;
-    }
-#endif
-    std::uint32_t mask = 0;
-    for (std::size_t j = 0; j < n; ++j)
-        mask |= static_cast<std::uint32_t>(id[j] < wid) << (2 * j);
-    return mask;
-}
-
-/**
- * The k-th best hit (wd, wid) of a full TopK as score thresholds:
- * bound is the largest score whose distance is <= wd and below the
- * largest whose distance is < wd, each -1 when no score qualifies.
- */
-struct KthBest
-{
-    int bound;
-    int below;
-    idx_t wid;
-};
-
-KthBest
-kthBest(const QuantizedLut &qlut, const TopK &topk)
-{
-    const float wd = topk.worst();
-    return {qlut.scoreBound(wd),
-            qlut.scoreBound(std::nextafter(
-                wd, -std::numeric_limits<float>::infinity())),
-            topk.worstId()};
-}
-
-} // namespace
-
-void
-scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
-               const std::uint8_t *packed, const QuantizedLut &qlut,
-               SearchScratch &sc, TopK &topk)
-{
-    const std::size_t nblocks =
-        (count + kFastScanBlock - 1) / kFastScanBlock;
-    if (sc.scores.size() < nblocks * kFastScanBlock)
-        sc.scores.resize(nblocks * kFastScanBlock);
-    scanPq4Blocks(m, packed, nblocks, qlut, sc.scores.data());
-    const std::uint16_t *scores = sc.scores.data();
-
-    std::size_t i = 0;
-    for (; i < count && !topk.full(); ++i)
-        topk.push(ids[i], qlut.distance(scores[i]));
-    if (i == count)
-        return;
-
-    // topk is full: a lane can enter only if it scores at most the
-    // bound. Groups start on a multiple of 16, so every score load
-    // stays inside the whole blocks scored above.
-    KthBest kth = kthBest(qlut, topk);
-    if (kth.bound < 0)
-        return;
-    std::size_t g = i / kBoundGroup * kBoundGroup;
-    const std::size_t last = (count - 1) / kBoundGroup * kBoundGroup;
-    // Lanes before i were pushed above; lanes from count on are padding.
-    std::uint32_t keep = ~0u << (2 * (i - g));
-    const std::uint32_t tail = ~0u >> (2 * (last + kBoundGroup - count));
-    for (; g <= last; g += kBoundGroup, keep = ~0u) {
-        std::uint32_t mask = lanesAtMost(scores + g, kth.bound) & keep;
-        if (mask == 0)
-            continue;
-        if (g == last)
-            mask &= tail;
-        // Lanes in the tie band (below, bound] enter only with an id
-        // below wid.
-        const std::uint32_t closer = lanesAtMost(scores + g, kth.below);
-        if ((mask & ~closer) != 0)
-            mask &= closer | idsBelow(ids + g,
-                                      std::min(kBoundGroup, count - g),
-                                      kth.wid);
-        for (; mask != 0; mask &= mask - 1) {
-            const std::size_t j =
-                g + static_cast<std::size_t>(std::countr_zero(mask)) / 2;
-            // Each push tightens the k-th best past lanes masked with
-            // the previous one; accepts() settles them exactly.
-            const float dist = qlut.distance(scores[j]);
-            if (!topk.accepts(ids[j], dist))
-                continue;
-            topk.push(ids[j], dist);
-            kth = kthBest(qlut, topk);
-            if (kth.bound < 0)
-                return;
-        }
-    }
-}
 
 QuantizedLut
 buildQuantizedLut(const ProductQuantizer &pq, const float *query,

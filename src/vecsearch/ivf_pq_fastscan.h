@@ -2,7 +2,8 @@
  * @file
  * IVF index over PQ4 fast-scan packed lists — the paper's CPU-tier index
  * ("IVF-FS"). Lists store codes in the blocked SIMD layout; search
- * quantizes the per-query LUT once and scans blocks with the AVX2 kernel.
+ * quantizes the per-query LUT once and scans every probed list with
+ * scanPackedList (fastscan.h), whose kernel is chosen at run time.
  */
 
 #ifndef VLR_VECSEARCH_IVF_PQ_FASTSCAN_H
@@ -20,55 +21,6 @@
 
 namespace vlr::vs
 {
-
-/**
- * Reusable per-thread buffers for fast-scan searches. Passing one in
- * avoids re-allocating the LUT and score buffers on every query; a
- * default-constructed scratch is grown on first use.
- */
-struct SearchScratch
-{
-    std::vector<float> lut;
-    std::vector<std::uint16_t> scores;
-};
-
-/**
- * Score one packed inverted list with the fast-scan kernel and push the
- * lanes that enter @p topk. This is the one scan+top-k loop behind
- * every fast-scan list reader — IvfPqFastScanIndex and the storage
- * layer's memory-mapped cold tier — so their distances are
- * bit-identical by construction. @p ids holds the list's @p count
- * vector ids in scan order and @p packed its whole fast-scan blocks;
- * sc.scores grows as needed.
- *
- * Lanes are pushed until @p topk is full. After that, the k-th best hit
- * (wd, wid) splits the scores into three bands:
- *  - up to below = scoreBound(nextafter(wd, -inf)): distance < wd;
- *  - in (below, bound = scoreBound(wd)]: distance == wd;
- *  - above bound: distance > wd.
- * Each 16-lane group is tested with SIMD compares. A lane passes if it
- * scores at most below, or lies in the tie band with an id below wid
- * (four 64-bit compares per group). Every passing lane is confirmed by
- * TopK::accepts, and only accepted lanes are pushed and refresh bound,
- * below and wid.
- *
- * The filter is exact. QuantizedLut::distance is monotone in the score,
- * so the bands pass precisely the lanes TopK keeps once full: d < wd,
- * or d == wd and id < wid. (A LUT whose map is not monotone gets both
- * bounds 65535, and accepts() decides every lane.) accepts() also
- * settles lanes masked before a push tightened the k-th best. The hits
- * therefore equal those of pushing every lane, bit for bit. A lane
- * scoring bound is not always a tie: when wd lies off the score grid
- * (a heap filled from another list or LUT), distance(bound) < wd, and
- * the lane enters whatever its id.
- *
- * Scores are padded to whole blocks but @p ids is not: the id test of a
- * partial last group reads only the ids before @p count, which in the
- * cold tier lie inside the mapped file.
- */
-void scanPackedList(std::size_t m, const idx_t *ids, std::size_t count,
-                    const std::uint8_t *packed, const QuantizedLut &qlut,
-                    SearchScratch &sc, TopK &topk);
 
 /**
  * Build @p query's float LUT with @p pq into sc.lut and quantize it:

@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the PQ4 fast-scan kernels: packing layout, SIMD/scalar
- * agreement, LUT quantization error bounds, the score bound, and the
- * bounded list scan against a push-every-lane reference.
+ * Tests for the PQ4 fast-scan kernels: packing layout, agreement of
+ * every kernel with the scalar one, LUT quantization error bounds, the
+ * score bound, and each kernel's bounded list scan against a
+ * push-every-lane reference. Kernel suites run once per kernel; a case
+ * whose kernel this host cannot run is skipped with the kernel's name.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -40,6 +43,63 @@ randomLut(Rng &rng, std::size_t m)
     for (auto &x : lut)
         x = static_cast<float>(rng.uniform(0.0, 4.0));
     return lut;
+}
+
+/** Every kernel, whether or not this host runs it. */
+const FastScanKernel kAllKernels[] = {FastScanKernel::Scalar,
+                                      FastScanKernel::Avx2,
+                                      FastScanKernel::Avx512bw};
+
+bool
+hostRuns(FastScanKernel kernel)
+{
+    const auto kernels = fastScanKernels();
+    return std::find(kernels.begin(), kernels.end(), kernel) !=
+           kernels.end();
+}
+
+std::string
+kernelName(const ::testing::TestParamInfo<FastScanKernel> &info)
+{
+    return fastScanKernelName(info.param);
+}
+
+/** A suite run once per kernel. */
+class FastScanByKernel : public ::testing::TestWithParam<FastScanKernel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!hostRuns(GetParam()))
+            GTEST_SKIP() << fastScanKernelName(GetParam())
+                         << " kernel: not available on this host";
+    }
+};
+
+using FastScanListScan = FastScanByKernel;
+
+INSTANTIATE_TEST_SUITE_P(Kernels, FastScanByKernel,
+                         ::testing::ValuesIn(kAllKernels), kernelName);
+INSTANTIATE_TEST_SUITE_P(Kernels, FastScanListScan,
+                         ::testing::ValuesIn(kAllKernels), kernelName);
+
+TEST(FastScan, ServingKernelIsTheLastTheHostRuns)
+{
+    const auto kernels = fastScanKernels();
+    ASSERT_FALSE(kernels.empty());
+    EXPECT_EQ(kernels.front(), FastScanKernel::Scalar);
+    EXPECT_EQ(servingFastScanKernel(), kernels.back());
+    EXPECT_EQ(fastScanHasSimd(),
+              servingFastScanKernel() != FastScanKernel::Scalar);
+    std::string names;
+    for (const FastScanKernel k : kernels)
+        names += std::string(names.empty() ? "" : " ") +
+                 fastScanKernelName(k);
+    RecordProperty("kernels", names);
+    std::cout << "fast-scan kernels on this host: " << names
+              << " (serving " << fastScanKernelName(servingFastScanKernel())
+              << ")\n";
 }
 
 TEST(FastScan, PackedBlockBytes)
@@ -163,15 +223,25 @@ TEST(FastScan, AffineMappingPreservesOrder)
     }
 }
 
-/** SIMD/scalar equivalence across m and block-count combinations. */
+/** Each kernel against the scalar one across m and list lengths. */
 class FastScanParamTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>>
+    : public ::testing::TestWithParam<
+          std::tuple<FastScanKernel, std::size_t, std::size_t>>
 {
+  protected:
+    void
+    SetUp() override
+    {
+        const FastScanKernel kernel = std::get<0>(GetParam());
+        if (!hostRuns(kernel))
+            GTEST_SKIP() << fastScanKernelName(kernel)
+                         << " kernel: not available on this host";
+    }
 };
 
 TEST_P(FastScanParamTest, KernelsAgree)
 {
-    const auto [m, n] = GetParam();
+    const auto [kernel, m, n] = GetParam();
     Rng rng(100 + m * 31 + n);
     const auto codes = randomCodes(rng, m, n);
     const auto lut = randomLut(rng, m);
@@ -179,18 +249,26 @@ TEST_P(FastScanParamTest, KernelsAgree)
     const auto packed = packPq4Codes(m, codes, n);
     const std::size_t nblocks = packed.size() / packedBlockBytes(m);
 
-    std::vector<std::uint16_t> simd(nblocks * kFastScanBlock);
+    std::vector<std::uint16_t> got(nblocks * kFastScanBlock);
     std::vector<std::uint16_t> scalar(nblocks * kFastScanBlock);
-    scanPq4Blocks(m, packed.data(), nblocks, qlut, simd.data());
+    scanPq4Blocks(kernel, m, packed.data(), nblocks, qlut, got.data());
     scanPq4BlocksScalar(m, packed.data(), nblocks, qlut, scalar.data());
-    for (std::size_t i = 0; i < simd.size(); ++i)
-        ASSERT_EQ(simd[i], scalar[i]) << "lane " << i;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], scalar[i]) << "lane " << i;
 }
 
+// m = 3, 5, 6, 7, 17 and 33 end in each m mod 4 tail of the AVX-512BW
+// kernel's four-sub-quantizer loads.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FastScanParamTest,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8, 16),
-                       ::testing::Values(1, 31, 32, 33, 100, 256)));
+    ::testing::Combine(::testing::ValuesIn(kAllKernels),
+                       ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 33),
+                       ::testing::Values(1, 31, 32, 33, 100, 256)),
+    [](const auto &info) {
+        return std::string(fastScanKernelName(std::get<0>(info.param))) +
+               "_m" + std::to_string(std::get<1>(info.param)) + "_n" +
+               std::to_string(std::get<2>(info.param));
+    });
 
 TEST(FastScan, AppendMatchesRepackOverConcatenation)
 {
@@ -221,7 +299,7 @@ TEST(FastScan, AppendMatchesRepackOverConcatenation)
         }
 }
 
-TEST(FastScan, MaxSubQuantizersScoreExactly65535)
+TEST_P(FastScanByKernel, MaxSubQuantizersScoreExactly65535)
 {
     // 255 * 257 = 65535: the widest shape whose uint16 lane sums cannot
     // wrap, scored with every lane on its row's max entry.
@@ -237,12 +315,12 @@ TEST(FastScan, MaxSubQuantizersScoreExactly65535)
     const auto packed = packPq4Codes(m, codes, n);
     const std::size_t nblocks = packed.size() / packedBlockBytes(m);
 
-    std::vector<std::uint16_t> simd(nblocks * kFastScanBlock);
+    std::vector<std::uint16_t> got(nblocks * kFastScanBlock);
     std::vector<std::uint16_t> scalar(nblocks * kFastScanBlock);
-    scanPq4Blocks(m, packed.data(), nblocks, qlut, simd.data());
+    scanPq4Blocks(GetParam(), m, packed.data(), nblocks, qlut, got.data());
     scanPq4BlocksScalar(m, packed.data(), nblocks, qlut, scalar.data());
     for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(simd[i], 65535) << "lane " << i;
+        EXPECT_EQ(got[i], 65535) << "lane " << i;
         EXPECT_EQ(scalar[i], 65535) << "lane " << i;
     }
 }
@@ -373,13 +451,13 @@ makeList(Rng &rng, std::size_t m, const std::vector<std::uint8_t> &codes,
     return l;
 }
 
-/** Kernel scores of a list's lanes, padding lanes dropped. */
+/** Scalar kernel scores of a list's lanes, padding lanes dropped. */
 std::vector<std::uint16_t>
 listScores(std::size_t m, const PackedList &l, const QuantizedLut &qlut)
 {
     const std::size_t nblocks = l.packed.size() / packedBlockBytes(m);
     std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
-    scanPq4Blocks(m, l.packed.data(), nblocks, qlut, scores.data());
+    scanPq4BlocksScalar(m, l.packed.data(), nblocks, qlut, scores.data());
     scores.resize(l.ids.size());
     return scores;
 }
@@ -409,11 +487,11 @@ pushEveryLane(std::size_t m, const PackedList &l, const QuantizedLut &qlut,
 }
 
 void
-scanList(std::size_t m, const PackedList &l, const QuantizedLut &qlut,
-         SearchScratch &sc, TopK &topk)
+scanList(FastScanKernel kernel, std::size_t m, const PackedList &l,
+         const QuantizedLut &qlut, SearchScratch &sc, TopK &topk)
 {
-    scanPackedList(m, l.ids.data(), l.ids.size(), l.packed.data(), qlut, sc,
-                   topk);
+    scanPackedList(kernel, m, l.ids.data(), l.ids.size(), l.packed.data(),
+                   qlut, sc, topk);
 }
 
 void
@@ -428,7 +506,7 @@ expectSameHits(const TopK &got, const TopK &want, const std::string &what)
     }
 }
 
-TEST(FastScanListScan, MatchesPushEveryLane)
+TEST_P(FastScanListScan, MatchesPushEveryLane)
 {
     Rng rng(41);
     // One scratch for every case: scores left over from a longer list
@@ -447,7 +525,7 @@ TEST(FastScanListScan, MatchesPushEveryLane)
                          {1ul, 10ul, count, count + 5}) {
                         TopK want(k), got(k);
                         pushEveryLane(m, l, qlut, want);
-                        scanList(m, l, qlut, sc, got);
+                        scanList(GetParam(), m, l, qlut, sc, got);
                         expectSameHits(
                             got, want,
                             "m " + std::to_string(m) + " count " +
@@ -458,7 +536,7 @@ TEST(FastScanListScan, MatchesPushEveryLane)
             }
 }
 
-TEST(FastScanListScan, PaddingLanesNeverEnter)
+TEST_P(FastScanListScan, PaddingLanesNeverEnter)
 {
     // Code 0 is every row's best entry, but real lanes use codes 1..15:
     // only the zero-coded padding lanes of the tail block score lowest.
@@ -477,13 +555,13 @@ TEST(FastScanListScan, PaddingLanesNeverEnter)
         for (const std::size_t k : {1ul, 3ul}) {
             TopK want(k), got(k);
             pushEveryLane(m, l, qlut, want);
-            scanList(m, l, qlut, sc, got);
+            scanList(GetParam(), m, l, qlut, sc, got);
             expectSameHits(got, want, "count " + std::to_string(count));
         }
     }
 }
 
-TEST(FastScanListScan, AllTiesAreDecidedById)
+TEST_P(FastScanListScan, AllTiesAreDecidedById)
 {
     Rng rng(43);
     const std::size_t m = 4, n = 100, k = 10;
@@ -497,7 +575,7 @@ TEST(FastScanListScan, AllTiesAreDecidedById)
         const PackedList l = makeList(rng, m, codes, 1000);
         TopK want(k), got(k);
         pushEveryLane(m, l, qlut, want);
-        scanList(m, l, qlut, sc, got);
+        scanList(GetParam(), m, l, qlut, sc, got);
         const std::string what = "all ties, count " + std::to_string(count);
         expectSameHits(got, want, what);
         const auto hits = got.sortedHits();
@@ -512,11 +590,11 @@ TEST(FastScanListScan, AllTiesAreDecidedById)
     const PackedList r = makeList(rng, m, randomCodes(rng, m, n), 0);
     TopK want_flat(k), got_flat(k);
     pushEveryLane(m, r, flat, want_flat);
-    scanList(m, r, flat, sc, got_flat);
+    scanList(GetParam(), m, r, flat, sc, got_flat);
     expectSameHits(got_flat, want_flat, "unit-step LUT");
 }
 
-TEST(FastScanListScan, CarriesAFullTopKAcrossLists)
+TEST_P(FastScanListScan, CarriesAFullTopKAcrossLists)
 {
     // searchClusters carries one TopK over every probed list, so later
     // lists start with a full heap and an already-tight bound.
@@ -541,7 +619,7 @@ TEST(FastScanListScan, CarriesAFullTopKAcrossLists)
             TopK want(k), got(k);
             for (std::size_t li = 0; li < lists.size(); ++li) {
                 pushEveryLane(m, lists[li], qlut, want);
-                scanList(m, lists[li], qlut, sc, got);
+                scanList(GetParam(), m, lists[li], qlut, sc, got);
                 expectSameHits(got, want,
                                map + " k " + std::to_string(k) +
                                    " after list " + std::to_string(li));
@@ -557,7 +635,7 @@ TEST(FastScanListScan, CarriesAFullTopKAcrossLists)
             prefill(got, 100000, prior);
             for (const PackedList &l : lists) {
                 pushEveryLane(m, l, qlut, want);
-                scanList(m, l, qlut, sc, got);
+                scanList(GetParam(), m, l, qlut, sc, got);
             }
             expectSameHits(got, want,
                            map + " prefilled at " + std::to_string(prior));
@@ -582,7 +660,7 @@ TEST(FastScanListScan, CarriesAFullTopKAcrossLists)
         prefill(got, 0, off);
         for (std::size_t li = 0; li < lists.size(); ++li) {
             pushEveryLane(m, lists[li], fine, want);
-            scanList(m, lists[li], fine, sc, got);
+            scanList(GetParam(), m, lists[li], fine, sc, got);
             expectSameHits(got, want,
                            "off-grid k " + std::to_string(k) +
                                " after list " + std::to_string(li));

@@ -111,14 +111,14 @@ struct TieredFixture : public ::testing::Test
     /** searchBatchParallel on @p pool matches flat serial search. */
     void
     expectBatchParity(const TieredIndex &tiered, ThreadPool &pool,
-                      TieredBatchStats *bs = nullptr) const
+                      std::size_t k, TieredBatchStats *bs = nullptr) const
     {
         const auto batched = tiered.searchBatchParallel(
-            queries_, nq_, k_, nprobe_, pool, bs);
+            queries_, nq_, k, nprobe_, pool, bs);
         ASSERT_EQ(batched.size(), nq_);
         for (std::size_t i = 0; i < nq_; ++i) {
             const auto expected =
-                index_->search(queries_.data() + i * d_, k_, nprobe_);
+                index_->search(queries_.data() + i * d_, k, nprobe_);
             ASSERT_EQ(batched[i].size(), expected.size())
                 << "query " << i;
             for (std::size_t j = 0; j < expected.size(); ++j) {
@@ -137,6 +137,15 @@ struct TieredFixture : public ::testing::Test
     const std::size_t nlist_ = 32;
     const std::size_t nq_ = 48;
     const std::size_t k_ = 10;
+    /**
+     * Wider tops for the parity tests: a query's top 10 nearly always
+     * lies in its nearest list. At k = 100 the heap fills partway into
+     * the lists it is carried across (they average ~94 vectors, 3000
+     * over nlist 32). But ~125 points surround each center, so the top
+     * 100 still lies in the nearest bucket; only k = 300 draws on the
+     * far buckets, which a search that drops them then misses.
+     */
+    const std::size_t wideKs_[2] = {100, 300};
     const std::size_t nprobe_ = 8;
     std::vector<float> centers_;
     std::vector<float> data_;
@@ -185,6 +194,8 @@ TEST_F(TieredFixture, ParityAcrossCoverages)
         TieredIndex tiered(*index_, topBySize(count));
         EXPECT_EQ(tiered.numHotClusters(), count);
         expectParity(tiered, k_, nprobe_);
+        for (const std::size_t k : wideKs_)
+            expectParity(tiered, k, nprobe_);
     }
 }
 
@@ -193,13 +204,15 @@ TEST_F(TieredFixture, ParallelBatchMatchesSerialTiered)
     TieredIndex tiered(*index_, topBySize(nlist_ / 4));
     ThreadPool pool(4);
     TieredBatchStats bs;
-    expectBatchParity(tiered, pool, &bs);
+    expectBatchParity(tiered, pool, k_, &bs);
     EXPECT_EQ(bs.queries, nq_);
     EXPECT_EQ(bs.hotOnlyQueries + bs.coldOnlyQueries + bs.splitQueries,
               nq_);
     // The route and scan shares split the batch wall between them.
     EXPECT_GT(bs.routeSeconds, 0.0);
     EXPECT_GT(bs.scanSeconds, 0.0);
+    for (const std::size_t k : wideKs_)
+        expectBatchParity(tiered, pool, k);
 }
 
 TEST_F(TieredFixture, PerQueryNprobeBatchMatchesSerialTiered)
@@ -462,6 +475,8 @@ TEST_F(TieredFixture, MultiShardParityAcrossShardCountsAndCoverages)
             EXPECT_EQ(tiered.numShards(), shards);
             EXPECT_EQ(tiered.numHotClusters(), count);
             expectParity(tiered, k_, nprobe_);
+            for (const std::size_t k : wideKs_)
+                expectParity(tiered, k, nprobe_);
 
             const auto s = tiered.stats();
             EXPECT_EQ(s.numShards, shards);
@@ -500,7 +515,8 @@ TEST_F(TieredFixture, ParityWhenPq4CodesCollapse)
             opts.numShards = shards;
             TieredIndex tiered(*index_, topBySize(count), opts);
             expectParity(tiered, k_, nprobe_);
-            expectBatchParity(tiered, pool);
+            for (const std::size_t k : {k_, wideKs_[0], wideKs_[1]})
+                expectBatchParity(tiered, pool, k);
             EXPECT_TRUE(tiered.search(queries_.data(), 0, nprobe_).empty());
         }
     }
@@ -582,9 +598,11 @@ TEST_F(TieredFixture, MultiShardParallelBatchMatchesSerial)
     TieredIndex tiered(*index_, topBySize(nlist_ / 2), opts);
     ThreadPool pool(4);
     TieredBatchStats bs;
-    expectBatchParity(tiered, pool, &bs);
+    expectBatchParity(tiered, pool, k_, &bs);
     EXPECT_EQ(bs.hotOnlyQueries + bs.coldOnlyQueries + bs.splitQueries,
               nq_);
+    for (const std::size_t k : wideKs_)
+        expectBatchParity(tiered, pool, k);
 }
 
 TEST_F(TieredFixture, ThrottledShardsStayCorrectUnderRepartition)
