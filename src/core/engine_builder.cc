@@ -186,7 +186,6 @@ EngineBuilder::build()
             "(tieredFromProfile or a caller-owned TieredIndex)");
 
     std::unique_ptr<TieredIndex> owned;
-    TieredIndex *tiered = tiered_;
     if (fromProfile_) {
         TieredOptions topts{config_.numHotShards,
                             config_.shardBackendFactory};
@@ -198,16 +197,21 @@ EngineBuilder::build()
                                        config_.numHotShards);
         owned = std::make_unique<TieredIndex>(index_, *profile_, rho_,
                                               std::move(topts));
-        tiered = owned.get();
+    } else if (tiered_ == nullptr) {
+        // A bare index is the rho = 0 end of the tiered axis: a tier
+        // with no hot clusters, whose every probe scans the source.
+        owned = std::make_unique<TieredIndex>(index_,
+                                              std::vector<cluster_id_t>{});
     }
-    std::unique_ptr<RetrievalEngine> engine(new RetrievalEngine(
-        index_, std::move(owned), tiered, config_));
+    TieredIndex &tiered = owned ? *owned : *tiered_;
+    std::unique_ptr<RetrievalEngine> engine(
+        new RetrievalEngine(tiered, std::move(owned), config_));
     // fromArtifact path: the engine adopts the restored index so it
     // outlives every component referencing it.
     engine->ownedIndex_ = std::move(ownedIndex_);
     if (config_.autopilot.enable)
         engine->ownedAutopilot_ = std::make_unique<SloAutopilot>(
-            *engine, *tiered, config_.autopilot);
+            *engine, tiered, config_.autopilot);
     return engine;
 }
 

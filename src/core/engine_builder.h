@@ -3,10 +3,11 @@
  * Fluent, validating construction of RetrievalEngine — the single
  * entry point replacing the former three-constructor zoo.
  *
- * One chain composes the index source (flat, caller-owned TieredIndex,
- * or an engine-owned TieredIndex built from an AccessProfile at a
- * coverage rho), the hot-tier shape (shard count + backend factory),
- * dispatcher policy, per-engine defaults and the control policies:
+ * One chain composes the index source (a bare index, a caller-owned
+ * TieredIndex, or an engine-owned TieredIndex built from an
+ * AccessProfile at a coverage rho), the hot-tier shape (shard count +
+ * backend factory), dispatcher policy, per-engine defaults and the
+ * control policies:
  *
  * @code
  * auto engine = core::EngineBuilder(index)
@@ -22,6 +23,10 @@
  * build() validates the assembled EngineConfig and the source
  * composition and throws std::invalid_argument before any thread
  * spins up, so a misconfigured engine never serves a single request.
+ *
+ * Every engine serves through a TieredIndex: a bare index without
+ * tieredFromProfile() gets an engine-owned tier with no hot clusters
+ * (rho = 0), so every probe scans the index in place.
  */
 
 #ifndef VLR_CORE_ENGINE_BUILDER_H
@@ -46,13 +51,15 @@ namespace vlr::core
 class EngineBuilder
 {
   public:
-    /** Serve @p index flat, or tiered via tieredFromProfile(). */
+    /**
+     * Serve @p index through an engine-owned tier: tieredFromProfile()
+     * picks its hot set, and without it the tier holds no hot clusters.
+     */
     explicit EngineBuilder(const vs::IvfPqFastScanIndex &index);
 
     /**
-     * Serve a caller-owned tiered index (its source() provides the
-     * flat-path index and dim()). Non-const because an autopilot()
-     * repartitions the served tier.
+     * Serve a caller-owned tiered index (its source() provides dim()).
+     * Non-const because an autopilot() repartitions the served tier.
      */
     explicit EngineBuilder(TieredIndex &tiered);
 
@@ -144,10 +151,11 @@ class EngineBuilder
     EngineBuilder &admissionQueueBound(std::size_t max_queued);
 
     /**
-     * Build and own a TieredIndex over the flat index: hot set =
+     * Build and own a TieredIndex over the bare index: hot set =
      * profile's top-rho clusters, dealt across hotShards() shards
      * behind shardBackend()'s factory. Only valid on a builder
-     * constructed from a flat index. @p profile must outlive build().
+     * constructed from a bare index or an artifact. @p profile must
+     * outlive build().
      */
     EngineBuilder &tieredFromProfile(const AccessProfile &profile,
                                      double rho);

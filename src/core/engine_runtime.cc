@@ -32,11 +32,10 @@ toDuration(double seconds)
 
 } // namespace
 
-RetrievalEngine::RetrievalEngine(const vs::IvfPqFastScanIndex &index,
+RetrievalEngine::RetrievalEngine(const TieredIndex &tiered,
                                  std::unique_ptr<TieredIndex> owned,
-                                 const TieredIndex *tiered,
                                  EngineConfig config)
-    : index_(index), ownedTiered_(std::move(owned)), tiered_(tiered),
+    : ownedTiered_(std::move(owned)), tiered_(tiered),
       config_(std::move(config)), tenantTable_(config_.tenants),
       pool_(ThreadPoolOptions{.numThreads = config_.numSearchThreads,
                               .pinThreads = config_.pinSearchThreads}),
@@ -58,7 +57,7 @@ RetrievalEngine::~RetrievalEngine()
 RetrievalEngine::Pending
 RetrievalEngine::makePending(const SearchRequest &request) const
 {
-    const std::size_t d = index_.dim();
+    const std::size_t d = tiered_.dim();
     if (request.query.size() < d)
         throw std::invalid_argument(
             "RetrievalEngine: query span shorter than dim()");
@@ -643,7 +642,7 @@ RetrievalEngine::executeBatch(std::vector<Pending> batch,
                               std::size_t backlog)
 {
     const std::size_t nq = batch.size();
-    const std::size_t d = index_.dim();
+    const std::size_t d = tiered_.dim();
     const std::size_t k = batch.front().k;
 
     // Graceful degradation (the alternative to letting the backlog
@@ -688,18 +687,12 @@ RetrievalEngine::executeBatch(std::vector<Pending> batch,
 
     const auto t0 = Clock::now();
     TieredBatchStats tstats;
-    std::vector<std::vector<vs::SearchHit>> results;
-    if (tiered_)
-        results = tiered_->searchBatchParallel(
-            queries, nq, k, nprobes, pool_,
-            autopilot_ ? &tstats : nullptr);
-    else
-        results = index_.searchBatchParallel(queries, nq, k, nprobes,
-                                             pool_);
+    auto results = tiered_.searchBatchParallel(
+        queries, nq, k, nprobes, pool_, autopilot_ ? &tstats : nullptr);
     const auto t1 = Clock::now();
     const double search_s = secondsBetween(t0, t1);
 
-    if (tiered_ && autopilot_)
+    if (autopilot_)
         autopilot_->observeBatch(
             BatchObservation{nq, tstats.routeSeconds,
                              tstats.scanSeconds, tstats.meanHitRate},

@@ -37,16 +37,18 @@
  * the simulator reports — so measured percentiles can be compared
  * directly against the analytic perf-model predictions.
  *
- * The engine serves either a flat single-tier index or a TieredIndex
- * (hot/cold partition-aware path). In tiered mode, when an SloAutopilot
- * is attached, each batch's route/scan wall times, routed hit rate and
- * queries are handed to it — the signal of the paper's online-update
- * loop, which the autopilot closes by repartitioning the tier.
+ * Every engine serves through one TieredIndex (hot/cold partition-aware
+ * path); a bare index is served as an engine-owned tier with no hot
+ * clusters, the rho = 0 end of the coverage axis, where every probe
+ * scans the source in place. When an SloAutopilot is attached, each
+ * batch's route/scan wall times, routed hit rate and queries are handed
+ * to it — the signal of the paper's online-update loop, which the
+ * autopilot closes by repartitioning the tier.
  *
  * Engines are constructed through EngineBuilder (engine_builder.h),
- * which validates the EngineConfig and composes flat, caller-owned
- * tiered and engine-owned profile-built tiered serving in one fluent
- * chain.
+ * which validates the EngineConfig and composes bare-index,
+ * caller-owned tiered and engine-owned profile-built tiered serving in
+ * one fluent chain.
  */
 
 #ifndef VLR_CORE_ENGINE_RUNTIME_H
@@ -72,7 +74,6 @@
 #include "core/batch_policy.h"
 #include "core/serving_api.h"
 #include "core/tiered_index.h"
-#include "vecsearch/ivf_pq_fastscan.h"
 
 namespace vlr::core
 {
@@ -137,11 +138,11 @@ class EngineBuilder;
 class SloAutopilot;
 
 /**
- * Online serving front-end over an IvfPqFastScanIndex or a
- * TieredIndex. Construct through EngineBuilder; the index must
- * outlive the engine. submit()/submitMany()/submitAsync() are
- * thread-safe and may be called from any number of client threads.
- * Destruction drains pending requests.
+ * Online serving front-end over a TieredIndex. Construct through
+ * EngineBuilder; a caller-owned index or tier must outlive the engine.
+ * submit()/submitMany()/submitAsync() are thread-safe and may be called
+ * from any number of client threads. Destruction drains pending
+ * requests.
  */
 class RetrievalEngine
 {
@@ -152,18 +153,19 @@ class RetrievalEngine
     RetrievalEngine &operator=(const RetrievalEngine &) = delete;
 
     /**
-     * Attach the closed-loop SLO autopilot, fed after every tiered
-     * batch. Call before submitting queries; the autopilot must
-     * outlive the engine unless it is engine-owned (EngineBuilder
-     * autopilot path).
+     * Attach the closed-loop SLO autopilot, fed after every batch.
+     * Call before submitting queries; the autopilot must outlive the
+     * engine unless it is engine-owned (EngineBuilder autopilot path).
      */
     void attachAutopilot(SloAutopilot *autopilot)
     {
         autopilot_ = autopilot;
     }
 
-    /** Tiered index served by this engine, or nullptr in flat mode. */
-    const TieredIndex *tiered() const { return tiered_; }
+    /** Tiered index served by this engine (never null; engine-owned
+     *  with no hot clusters when the engine was built from a bare
+     *  index). */
+    const TieredIndex *tiered() const { return &tiered_; }
 
     /** Attached autopilot, or nullptr (manual-interval configurations
      *  step it via SloAutopilot::runControlCycle()). */
@@ -252,15 +254,14 @@ class RetrievalEngine
     using Clock = std::chrono::steady_clock;
 
     /**
-     * @param index flat-mode index (tiered->source() when tiered).
-     * @param owned engine-owned TieredIndex (profile-built), or null.
-     * @param tiered tiered-mode index (owned.get() or caller-owned),
-     *        or null for the flat path.
+     * @param tiered served index (*owned, or caller-owned when owned
+     *        is null).
+     * @param owned engine-owned TieredIndex (profile-built or the empty
+     *        tier over a bare index), or null.
      * @param config validated configuration.
      */
-    RetrievalEngine(const vs::IvfPqFastScanIndex &index,
-                    std::unique_ptr<TieredIndex> owned,
-                    const TieredIndex *tiered, EngineConfig config);
+    RetrievalEngine(const TieredIndex &tiered,
+                    std::unique_ptr<TieredIndex> owned, EngineConfig config);
 
     struct Pending
     {
@@ -385,16 +386,15 @@ class RetrievalEngine
     /**
      * Index restored from an on-disk artifact by
      * EngineBuilder::fromArtifact, or null when the caller owns the
-     * index. Declared first so it outlives every member referencing
-     * index_ (members are destroyed in reverse declaration order).
+     * index. Declared first so it outlives the tier that references it
+     * (members are destroyed in reverse declaration order).
      */
     std::shared_ptr<const vs::IvfPqFastScanIndex> ownedIndex_;
-    /** Flat-mode index (tiered_->source() when tiered). */
-    const vs::IvfPqFastScanIndex &index_;
-    /** Tiered index built by EngineBuilder::tieredFromProfile. */
+    /** Tier built by EngineBuilder (tieredFromProfile, or the empty
+     *  tier over a bare index); null when the caller owns the tier. */
     std::unique_ptr<TieredIndex> ownedTiered_;
-    /** Tiered-mode index; nullptr when serving the flat path. */
-    const TieredIndex *tiered_ = nullptr;
+    /** The served tier: *ownedTiered_ or the caller's. */
+    const TieredIndex &tiered_;
     SloAutopilot *autopilot_ = nullptr;
     EngineConfig config_;
     /** Validated registry over config_.tenants (immutable). */

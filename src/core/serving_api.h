@@ -524,7 +524,8 @@ struct EngineConfig
     /**
      * Hot shards for engines that build their own TieredIndex
      * (EngineBuilder::tieredFromProfile); ignored when serving a
-     * caller-owned index or the flat path.
+     * caller-owned tier or a bare index (whose empty tier has one
+     * shard holding nothing).
      */
     std::size_t numHotShards = 1;
     /**

@@ -7,7 +7,6 @@
 
 #include "common/timer.h"
 #include "vecsearch/topk.h"
-#include "workload/plans.h"
 
 namespace vlr::core
 {
@@ -73,7 +72,7 @@ makeProfileAssignment(const vs::IvfPqFastScanIndex &source,
 
 TieredIndex::Tiers::Tiers(const vs::IvfPqFastScanIndex &source,
                           ShardAssignment a, const TieredOptions &opts)
-    : assignment(std::move(a)), router(assignment, /*prune_probes=*/true)
+    : assignment(std::move(a))
 {
     assert(assignment.clusterShard.size() == source.nlist());
     shards.reserve(assignment.numShards());
@@ -153,17 +152,14 @@ TieredIndex::routeProbes(const Tiers &tiers,
     ProbeBuckets b;
     b.shardProbes.resize(tiers.assignment.numShards());
 
-    // Route the probe list through the pruned router: the same
-    // work-weighted accounting the simulator uses, over real list
-    // sizes. The plan and the per-shard buckets are built in one pass;
-    // the router then provides the hit-rate/shard-load accounting.
-    wl::QueryPlan plan;
-    plan.probes.assign(clusters.begin(), clusters.end());
-    plan.probeWork.reserve(clusters.size());
+    // Pruned routing: each probe goes only to the tier holding its
+    // list. The same pass sums the work-weighted hit rate, the hot
+    // share of the vectors the query scans.
+    double total_work = 0.0;
+    double hot_work = 0.0;
     for (const cluster_id_t c : clusters) {
         const auto w = static_cast<double>(source_.listSize(c));
-        plan.probeWork.push_back(w);
-        plan.totalWork += w;
+        total_work += w;
         stats.accessCounts[static_cast<std::size_t>(c)].fetch_add(
             1, std::memory_order_relaxed);
         const shard_id_t s =
@@ -177,15 +173,13 @@ TieredIndex::routeProbes(const Tiers &tiers,
             b.order.push_back(s);
         bucket.push_back(c);
         if (s != kCpuShard) {
+            hot_work += w;
             stats.shardProbes[static_cast<std::size_t>(s)].fetch_add(
                 1, std::memory_order_relaxed);
             ++b.hotCount;
         }
     }
-    const wl::QueryPlan *pp = &plan;
-    const RoutedBatch routed =
-        tiers.router.route(std::span<const wl::QueryPlan *const>(&pp, 1));
-    const RoutedQuery &rq = routed.queries[0];
+    const double hit_rate = total_work > 0.0 ? hot_work / total_work : 0.0;
 
     const bool hot_only = b.coldProbes.empty() && b.hotCount > 0;
     stats.queries.fetch_add(1, std::memory_order_relaxed);
@@ -198,13 +192,12 @@ TieredIndex::routeProbes(const Tiers &tiers,
     stats.hotProbes.fetch_add(b.hotCount, std::memory_order_relaxed);
     stats.totalProbes.fetch_add(clusters.size(),
                                 std::memory_order_relaxed);
-    StatShard::ownerAdd(stats.hitRateSum, rq.hitRate);
+    StatShard::ownerAdd(stats.hitRateSum, hit_rate);
 
     if (qs) {
         qs->hotProbes = b.hotCount;
         qs->coldProbes = b.coldProbes.size();
-        qs->shardsUsed = rq.shardsUsed.size();
-        qs->hitRate = rq.hitRate;
+        qs->hitRate = hit_rate;
         qs->hotOnly = hot_only;
     }
     return b;

@@ -14,10 +14,13 @@
  * from a memory-mapped artifact), keeping the same bit-identical parity
  * contract. Hot clusters are placed across shards by the same
  * size-balanced round-robin dealing IndexSplitter::split uses, and each
- * query's probe list is routed through the pruned Router over the
- * multi-shard ShardAssignment, so hot-covered queries skip the cold
- * tier entirely and the router's work-weighted hit rates come from the
- * same code path the simulator uses.
+ * query's probe list is bucketed by the multi-shard ShardAssignment
+ * with pruned routing, so hot-covered queries skip the cold tier
+ * entirely. The bucketing pass also yields the query's work-weighted
+ * hit rate (hot list sizes over probed list sizes), the definition the
+ * simulator's pruned routing applies to its plans. An empty hot set is
+ * the rho = 0 end of the axis: every probe is cold, and the engine
+ * serves a bare index this way.
  *
  * Each query is served by one function, serially or as one pool task
  * of a batch: it probes the coarse quantizer, routes the probes into
@@ -53,7 +56,6 @@
 #include "common/threadpool.h"
 #include "core/access_profile.h"
 #include "core/epoch.h"
-#include "core/router.h"
 #include "core/shard_backend.h"
 #include "core/splitter.h"
 #include "vecsearch/ivf_pq_fastscan.h"
@@ -98,9 +100,8 @@ struct TieredQueryStats
     std::size_t hotProbes = 0;
     /** Probes served by the cold (source) tier. */
     std::size_t coldProbes = 0;
-    /** Hot shards holding at least one of this query's probes. */
-    std::size_t shardsUsed = 0;
-    /** Work-weighted hot hit rate (router semantics). */
+    /** Work-weighted hot hit rate: the hot probes' list sizes over all
+     *  probed list sizes (0 when the probed lists are empty). */
     double hitRate = 0.0;
     /** True when the cold tier was skipped entirely. */
     bool hotOnly = false;
@@ -240,10 +241,10 @@ class TieredIndex
     TieredIndex &operator=(const TieredIndex &) = delete;
 
     /**
-     * Serial tiered search: probe the shared coarse quantizer, route
-     * probes through the pruned router, then scan each hot shard
-     * holding a probe and (only if needed) the cold tier into one
-     * TopK. Records per-cluster access counts.
+     * Serial tiered search: probe the shared coarse quantizer, bucket
+     * the probes by shard, then scan each hot shard holding a probe and
+     * (only if needed) the cold tier into one TopK. Records
+     * per-cluster access counts.
      */
     std::vector<vs::SearchHit> search(const float *query, std::size_t k,
                                       std::size_t nprobe,
@@ -343,7 +344,6 @@ class TieredIndex
     struct Tiers
     {
         ShardAssignment assignment;
-        Router router;
         /** Per-shard backends (assignment.numShards() entries). */
         std::vector<std::unique_ptr<HotShardBackend>> shards;
         std::size_t numHot = 0;
@@ -431,9 +431,9 @@ class TieredIndex
     }
 
     /**
-     * Bucket one probe list by destination shard, record access
-     * counters and per-query routing stats in the calling thread's
-     * stat shard.
+     * Bucket one probe list by destination shard, in the same pass sum
+     * the work-weighted hit rate, and record access counters and
+     * per-query routing stats in the calling thread's stat shard.
      */
     ProbeBuckets routeProbes(const Tiers &tiers,
                              std::span<const cluster_id_t> clusters,

@@ -485,11 +485,16 @@ scanListAvx512(std::size_t m, const idx_t *ids, std::size_t count,
     __m512i below = _mm512_set1_epi16(static_cast<short>(kth.below));
     // Lanes before i were pushed above; lanes from count on are padding.
     __mmask32 keep = ~0u << (i % kFastScanBlock);
-    for (std::size_t b = i / kFastScanBlock; b < nblocks; ++b, keep = ~0u) {
+    // A heap that filled mid-block leaves that block's scores in stored.
+    bool scored = i % kFastScanBlock != 0;
+    for (std::size_t b = i / kFastScanBlock; b < nblocks;
+         ++b, keep = ~0u, scored = false) {
         const std::size_t base = b * kFastScanBlock;
         if (count - base < kFastScanBlock)
             keep &= ~0u >> (kFastScanBlock - (count - base));
-        const __m512i scores = scoreBlockAvx512(m, packed + b * bb, lut);
+        const __m512i scores =
+            scored ? _mm512_load_si512(stored)
+                   : scoreBlockAvx512(m, packed + b * bb, lut);
         __mmask32 mask = _mm512_mask_cmple_epu16_mask(keep, scores, bound);
         if (mask == 0)
             continue;

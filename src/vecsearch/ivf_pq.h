@@ -30,14 +30,6 @@ struct SearchBreakdown
     {
         return cqSeconds + lutBuildSeconds + scanSeconds;
     }
-
-    void
-    accumulate(const SearchBreakdown &o)
-    {
-        cqSeconds += o.cqSeconds;
-        lutBuildSeconds += o.lutBuildSeconds;
-        scanSeconds += o.scanSeconds;
-    }
 };
 
 /**

@@ -160,40 +160,6 @@ IvfPqFastScanIndex::searchBatch(std::span<const float> queries,
     return out;
 }
 
-std::vector<std::vector<SearchHit>>
-IvfPqFastScanIndex::searchBatchParallel(std::span<const float> queries,
-                                        std::size_t nq, std::size_t k,
-                                        std::size_t nprobe,
-                                        ThreadPool &pool,
-                                        SearchBreakdown *bd) const
-{
-    const std::vector<std::size_t> nprobes(nq, nprobe);
-    return searchBatchParallel(queries, nq, k, nprobes, pool, bd);
-}
-
-std::vector<std::vector<SearchHit>>
-IvfPqFastScanIndex::searchBatchParallel(
-    std::span<const float> queries, std::size_t nq, std::size_t k,
-    std::span<const std::size_t> nprobes, ThreadPool &pool,
-    SearchBreakdown *bd) const
-{
-    const std::size_t d = dim();
-    assert(queries.size() >= nq * d);
-    assert(nprobes.size() >= nq);
-    std::vector<std::vector<SearchHit>> out(nq);
-    std::vector<SearchBreakdown> bds(bd ? nq : 0);
-    pool.parallelForDynamic(nq, 1, [&](std::size_t i) {
-        // One scratch per OS thread, reused across queries and batches.
-        static thread_local SearchScratch scratch;
-        out[i] = search(queries.data() + i * d, k, nprobes[i],
-                        bd ? &bds[i] : nullptr, &scratch);
-    });
-    if (bd)
-        for (const auto &b : bds)
-            bd->accumulate(b);
-    return out;
-}
-
 IvfPqFastScanIndex
 IvfPqFastScanIndex::fromParts(std::shared_ptr<const FlatCoarseQuantizer> cq,
                               ProductQuantizer pq,

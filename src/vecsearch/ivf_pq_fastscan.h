@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "vecsearch/fastscan.h"
 #include "vecsearch/ivf.h"
 #include "vecsearch/ivf_pq.h"
@@ -38,8 +37,8 @@ QuantizedLut buildQuantizedLut(const ProductQuantizer &pq,
  * distances to within one quantization step per sub-quantizer.
  *
  * Search is reentrant: const search methods share no mutable state, so
- * any number of threads may query one index concurrently (the engine's
- * batch executor relies on this).
+ * any number of threads may query one index concurrently (a tiered
+ * batch scans it from every pool worker).
  */
 class IvfPqFastScanIndex
 {
@@ -96,29 +95,6 @@ class IvfPqFastScanIndex
     std::vector<std::vector<SearchHit>> searchBatch(
         std::span<const float> queries, std::size_t nq, std::size_t k,
         std::size_t nprobe, SearchBreakdown *bd = nullptr) const;
-
-    /**
-     * Multi-query search fanned out across a thread pool with dynamic
-     * load balancing and per-thread scratch reuse. Results are
-     * bit-identical to searchBatch() regardless of thread count; the
-     * aggregated breakdown sums per-query stage times (CPU work, not
-     * wall clock).
-     */
-    std::vector<std::vector<SearchHit>> searchBatchParallel(
-        std::span<const float> queries, std::size_t nq, std::size_t k,
-        std::size_t nprobe, ThreadPool &pool,
-        SearchBreakdown *bd = nullptr) const;
-
-    /**
-     * Per-query-nprobe variant: query i probes nprobes[i] lists (nq
-     * entries). Lets the serving dispatcher batch requests with
-     * heterogeneous probe depths; each query's hits are bit-identical
-     * to a serial search(query, k, nprobes[i]).
-     */
-    std::vector<std::vector<SearchHit>> searchBatchParallel(
-        std::span<const float> queries, std::size_t nq, std::size_t k,
-        std::span<const std::size_t> nprobes, ThreadPool &pool,
-        SearchBreakdown *bd = nullptr) const;
 
     /**
      * Rebuild an index from a trained PQ and exported inverted lists —

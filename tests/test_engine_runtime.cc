@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the concurrent retrieval engine: batched-parallel execution
- * must exactly match single-threaded serial search on a deterministic
- * synthetic dataset, and the admission queue must honor its batching,
- * drain and shutdown semantics. Engines are built through the
- * EngineBuilder (the only construction path); request-level behaviour
- * (deadlines, priorities, mixed batches, rejection) is covered in
- * test_serving_api.cc.
+ * Tests for the concurrent retrieval engine: served hits must exactly
+ * match single-threaded serial search on a deterministic synthetic
+ * dataset, whether the engine serves a bare index (through its
+ * engine-owned empty tier) or a caller-owned tier, and the admission
+ * queue must honor its batching, drain and shutdown semantics. Engines
+ * are built through the EngineBuilder (the only construction path);
+ * request-level behaviour (deadlines, priorities, mixed batches,
+ * rejection) is covered in test_serving_api.cc.
  */
 
 #include <future>
@@ -93,59 +94,6 @@ struct EngineFixture : public ::testing::Test
     std::unique_ptr<vs::IvfPqFastScanIndex> index_;
 };
 
-TEST_F(EngineFixture, ParallelBatchSearchMatchesSerial)
-{
-    const auto serial = serialResults(10, 8);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        ThreadPool pool(threads);
-        const auto parallel = index_->searchBatchParallel(
-            queries_, nq_, 10, 8, pool);
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < nq_; ++i) {
-            ASSERT_EQ(parallel[i].size(), serial[i].size()) << "query " << i;
-            for (std::size_t j = 0; j < serial[i].size(); ++j) {
-                EXPECT_EQ(parallel[i][j].id, serial[i][j].id)
-                    << "query " << i << " rank " << j;
-                EXPECT_EQ(parallel[i][j].dist, serial[i][j].dist)
-                    << "query " << i << " rank " << j;
-            }
-        }
-    }
-}
-
-TEST_F(EngineFixture, ParallelBatchSearchAggregatesBreakdown)
-{
-    ThreadPool pool(4);
-    vs::SearchBreakdown bd;
-    index_->searchBatchParallel(queries_, nq_, 10, 8, pool, &bd);
-    EXPECT_GT(bd.cqSeconds, 0.0);
-    EXPECT_GT(bd.lutBuildSeconds, 0.0);
-    EXPECT_GT(bd.scanSeconds, 0.0);
-}
-
-TEST_F(EngineFixture, PerQueryNprobeBatchMatchesSerial)
-{
-    // Heterogeneous probe depths in one parallel batch must equal the
-    // per-query serial searches at the same depths.
-    std::vector<std::size_t> nprobes(nq_);
-    for (std::size_t i = 0; i < nq_; ++i)
-        nprobes[i] = 1 + i % 16;
-    ThreadPool pool(4);
-    const auto parallel =
-        index_->searchBatchParallel(queries_, nq_, 10, nprobes, pool);
-    for (std::size_t i = 0; i < nq_; ++i) {
-        const auto serial =
-            index_->search(queries_.data() + i * d_, 10, nprobes[i]);
-        ASSERT_EQ(parallel[i].size(), serial.size()) << "query " << i;
-        for (std::size_t j = 0; j < serial.size(); ++j) {
-            EXPECT_EQ(parallel[i][j].id, serial[j].id)
-                << "query " << i << " rank " << j;
-            EXPECT_EQ(parallel[i][j].dist, serial[j].dist)
-                << "query " << i << " rank " << j;
-        }
-    }
-}
-
 TEST_F(EngineFixture, EngineResultsMatchSerialSearch)
 {
     const std::size_t k = 10, nprobe = 8;
@@ -158,6 +106,10 @@ TEST_F(EngineFixture, EngineResultsMatchSerialSearch)
                             .batching({.maxBatch = 16,
                                        .timeoutSeconds = 1e-3})
                             .build();
+    // A bare index is served through an engine-owned empty tier.
+    ASSERT_NE(engine->tiered(), nullptr);
+    EXPECT_EQ(engine->tiered()->numHotClusters(), 0u);
+    EXPECT_EQ(&engine->tiered()->source(), index_.get());
 
     std::vector<std::future<SearchResponse>> futures;
     futures.reserve(nq_);
@@ -181,6 +133,10 @@ TEST_F(EngineFixture, EngineResultsMatchSerialSearch)
         EXPECT_LE(r.batchSize, 16u);
         EXPECT_GE(r.batchSize, 1u);
     }
+    // Every served query went cold-only through the empty tier.
+    const auto ts = engine->tiered()->stats();
+    EXPECT_EQ(ts.queries, nq_);
+    EXPECT_EQ(ts.coldOnlyQueries, nq_);
 }
 
 TEST_F(EngineFixture, BatchCapIsRespected)

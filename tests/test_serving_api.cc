@@ -111,6 +111,9 @@ TEST_F(ServingApiFixture, MixedBatchParityAcrossShardsAndCoverage)
     // Acceptance gate: a mixed batch of heterogeneous (k, nprobe)
     // requests must return bit-identical hits to per-request serial
     // TieredIndex search, at shard counts {1, 2} x rho {0, 0.25, 1}.
+    // Both run one per-query function, so each response is also
+    // checked against the index's own serial search, which a bug shared
+    // by the two would not pass.
     const auto profile = makeProfile();
     const std::size_t ks[] = {5, 10, 17};
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
@@ -139,19 +142,23 @@ TEST_F(ServingApiFixture, MixedBatchParityAcrossShardsAndCoverage)
                 EXPECT_EQ(r.tag, i);
                 EXPECT_EQ(r.k, requests[i].k);
                 EXPECT_EQ(r.nprobe, requests[i].nprobe);
+                const float *q = queries_.data() + i * d_;
                 const auto serial =
-                    tiered.search(queries_.data() + i * d_,
-                                  requests[i].k, requests[i].nprobe);
-                ASSERT_EQ(r.hits.size(), serial.size())
-                    << "shards " << shards << " rho " << rho
-                    << " query " << i;
-                for (std::size_t j = 0; j < serial.size(); ++j) {
-                    EXPECT_EQ(r.hits[j].id, serial[j].id)
+                    tiered.search(q, requests[i].k, requests[i].nprobe);
+                const auto flat =
+                    index_->search(q, requests[i].k, requests[i].nprobe);
+                for (const auto *expected : {&serial, &flat}) {
+                    ASSERT_EQ(r.hits.size(), expected->size())
                         << "shards " << shards << " rho " << rho
-                        << " query " << i << " rank " << j;
-                    EXPECT_EQ(r.hits[j].dist, serial[j].dist)
-                        << "shards " << shards << " rho " << rho
-                        << " query " << i << " rank " << j;
+                        << " query " << i;
+                    for (std::size_t j = 0; j < expected->size(); ++j) {
+                        EXPECT_EQ(r.hits[j].id, (*expected)[j].id)
+                            << "shards " << shards << " rho " << rho
+                            << " query " << i << " rank " << j;
+                        EXPECT_EQ(r.hits[j].dist, (*expected)[j].dist)
+                            << "shards " << shards << " rho " << rho
+                            << " query " << i << " rank " << j;
+                    }
                 }
             }
             const auto s = engine->stats();

@@ -14,7 +14,9 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -201,29 +203,45 @@ TEST_F(TieredFixture, ParityAcrossCoverages)
 
 TEST_F(TieredFixture, ParallelBatchMatchesSerialTiered)
 {
-    TieredIndex tiered(*index_, topBySize(nlist_ / 4));
-    ThreadPool pool(4);
-    TieredBatchStats bs;
-    expectBatchParity(tiered, pool, k_, &bs);
-    EXPECT_EQ(bs.queries, nq_);
-    EXPECT_EQ(bs.hotOnlyQueries + bs.coldOnlyQueries + bs.splitQueries,
-              nq_);
-    // The route and scan shares split the batch wall between them.
-    EXPECT_GT(bs.routeSeconds, 0.0);
-    EXPECT_GT(bs.scanSeconds, 0.0);
-    for (const std::size_t k : wideKs_)
-        expectBatchParity(tiered, pool, k);
+    // The empty hot set is the tier an engine serves a bare index
+    // through; a 1-thread pool runs every task inline, as the engine's
+    // searchThreads(1) does.
+    for (const std::size_t hot : {std::size_t{0}, nlist_ / 4}) {
+        TieredIndex tiered(*index_, topBySize(hot));
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE("hot " + std::to_string(hot) + " threads " +
+                         std::to_string(threads));
+            ThreadPool pool(threads);
+            TieredBatchStats bs;
+            expectBatchParity(tiered, pool, k_, &bs);
+            EXPECT_EQ(bs.queries, nq_);
+            EXPECT_EQ(bs.hotOnlyQueries + bs.coldOnlyQueries + bs.splitQueries,
+                      nq_);
+            if (hot == 0)
+                EXPECT_EQ(bs.coldOnlyQueries, nq_);
+            // The route and scan shares split the batch wall between
+            // them.
+            EXPECT_GT(bs.routeSeconds, 0.0);
+            EXPECT_GT(bs.scanSeconds, 0.0);
+            for (const std::size_t k : wideKs_)
+                expectBatchParity(tiered, pool, k);
+        }
+    }
 }
 
 TEST_F(TieredFixture, PerQueryNprobeBatchMatchesSerialTiered)
 {
     // Heterogeneous probe depths in one batch (the deadline-aware
     // dispatcher's batch shape) must reproduce per-request serial
-    // tiered searches bit for bit, at multiple shard counts. Both run
-    // one per-query function, so each query is also checked against
-    // the flat index, which a bug shared by the two would not pass.
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-        TieredIndex tiered(*index_, topBySize(nlist_ / 4),
+    // tiered searches bit for bit, at multiple shard counts and with
+    // the empty hot set a bare-index engine serves. Both run one
+    // per-query function, so each query is also checked against the
+    // flat index, which a bug shared by the two would not pass.
+    const std::pair<std::size_t, std::size_t> cases[] = {
+        {0, 1}, {nlist_ / 4, 1}, {nlist_ / 4, 2}};
+    for (const auto &[hot, shards] : cases) {
+        SCOPED_TRACE("hot " + std::to_string(hot));
+        TieredIndex tiered(*index_, topBySize(hot),
                            TieredOptions{shards, {}});
         std::vector<std::size_t> nprobes(nq_);
         for (std::size_t i = 0; i < nq_; ++i)
@@ -321,6 +339,15 @@ TEST_F(TieredFixture, SplitQueryMergesTiers)
     EXPECT_EQ(qs.coldProbes, pl.clusters.size() - hot.size());
     EXPECT_GT(qs.hitRate, 0.0);
     EXPECT_LT(qs.hitRate, 1.0);
+    // Work-weighted: the hot probes' list sizes over all probed sizes.
+    double hot_work = 0.0, total_work = 0.0;
+    for (std::size_t j = 0; j < pl.clusters.size(); ++j) {
+        const auto w = static_cast<double>(index_->listSize(pl.clusters[j]));
+        total_work += w;
+        if (j < hot.size())
+            hot_work += w;
+    }
+    EXPECT_DOUBLE_EQ(qs.hitRate, hot_work / total_work);
 
     const auto expected = index_->search(q, k_, nprobe_);
     ASSERT_EQ(hits.size(), expected.size());
